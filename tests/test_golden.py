@@ -1,0 +1,21 @@
+"""Golden run: a small checked-in experiment whose per_fold.csv must not move.
+
+The expected file was produced by this package on CPython 3.11, numpy 2.x
+with OpenBLAS. A refactor must reproduce it byte for byte. An intended
+numeric change regenerates it, and the reason is recorded with the change.
+If it differs on another CPU or BLAS build, report that; the comparison
+stays exact.
+"""
+
+from pathlib import Path
+
+from curricula.harness import parse_config, render_report, run_experiment
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_golden_per_fold_csv_is_byte_identical(tmp_path):
+    # 3 arms x 3 folds x 10 epochs on 150 synthetic samples
+    config = parse_config(GOLDEN / "config.yaml")
+    render_report(run_experiment(config), tmp_path)
+    assert (tmp_path / "per_fold.csv").read_bytes() == (GOLDEN / "per_fold.csv").read_bytes()

@@ -6,7 +6,7 @@ scheduler blends the two losses, and cross-validated experiments compare
 scheduler shapes against a plain hard-task baseline.
 """
 
-from .data import Dataset, FoldPartition, Sample, SynthConfig, generate_synthetic, load_csv, stratified_kfold
+from .data import Dataset, FoldPartition, SynthConfig, generate_synthetic, load_csv, stratified_kfold
 from .harness import (
     Arm,
     ExperimentConfig,
@@ -26,7 +26,7 @@ from .metrics import (
     binary_task_metrics,
     evaluate,
 )
-from .model import ModelParams, TrainConfig, TrainResult, init, predict_proba, predict_proba_batch, train, train_epoch
+from .model import ModelParams, TrainConfig, TrainResult, init, predict_proba_batch, train, train_epoch
 from .scheduler import KINDS, SchedulerSpec, default_switch_epoch, lambda_at, schedule
 
 __version__ = "0.1.0"
@@ -40,7 +40,6 @@ __all__ = [
     "KINDS",
     "MetricsReport",
     "ModelParams",
-    "Sample",
     "SchedulerSpec",
     "SynthConfig",
     "TrainConfig",
@@ -63,7 +62,6 @@ __all__ = [
     "lambda_at",
     "load_csv",
     "parse_config",
-    "predict_proba",
     "predict_proba_batch",
     "render_report",
     "run_experiment",

@@ -9,7 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .data import generate_synthetic, stratified_kfold, write_csv, write_partitions_csv
-from .harness import build_dataset, child_seed, parse_config, render_report, run_experiment
+from .harness import build_dataset, child_seed, parse_config, render_report, resolved_synth, run_experiment
 
 
 def _load_config(args):
@@ -41,10 +41,7 @@ def _cmd_gen_data(args) -> int:
     config = _load_config(args)
     if config.synth is None:
         raise ValueError("gen-data needs a config with a 'data.synthetic' section")
-    synth = config.synth
-    if synth.seed is None:
-        synth = replace(synth, seed=child_seed(config.seed, "data"))
-    write_csv(generate_synthetic(synth), args.out)
+    write_csv(generate_synthetic(resolved_synth(config)), args.out)
     return 0
 
 

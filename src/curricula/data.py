@@ -29,13 +29,6 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class Sample:
-    id: int
-    y: int
-    features: np.ndarray
-
-
-@dataclass(frozen=True)
 class Dataset:
     """An immutable collection of feature vectors with fine labels.
 
@@ -77,9 +70,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def __getitem__(self, i: int) -> Sample:
-        return Sample(id=int(self.ids[i]), y=int(self.labels[i]), features=self.features[i])
 
     @property
     def feature_dim(self) -> int:
@@ -129,6 +119,8 @@ class SynthConfig:
             raise ValueError(f"overlap must lie in [0, 1], got {self.overlap}")
         if not (self.noise > 0):
             raise ValueError(f"noise must be positive, got {self.noise}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def class_means(config: SynthConfig) -> np.ndarray:

@@ -1,33 +1,7 @@
 """Experiment harness: config parsing, cross-validated runs, and reports.
 
-A YAML config drives the experiment. Schema (unknown keys are rejected):
-
-    seed: 11                # master seed (default 0)
-    k: 5                    # fold count (default 5)
-    val_fraction: 0.2       # validation share of the non-test folds
-    out_dir: results        # default output directory (default "out")
-    data:                   # exactly one of "synthetic" or "csv"
-      synthetic:
-        counts: [349, 653, 707]   # per-class sample counts, required
-        feature_dim: 2
-        separation: 3.0
-        overlap: 0.25
-        noise: 1.0
-        seed: 7             # optional; derived from the master seed if omitted
-      # csv: features.csv
-    train:
-      learning_rate: 0.05
-      epochs: 100
-      batch_size: 32
-      hidden_sizes: [16]
-      seed: 0               # standalone-training seed; folds use derived seeds
-    arms:                   # one row per trained variant, at least one
-      - kind: constant_zero       # the plain hard-task baseline
-      - kind: linear
-        L: 50               # switch epoch; defaults to epochs // 2
-        E: 100              # optional; must equal train.epochs when given
-        epsilon: 1.0e-3     # exponential floor (exponential kind only)
-        name: linear-early  # optional unique label (defaults to kind)
+A YAML config drives the experiment; its schema is documented in the
+"Config schema" section of README.md. Unknown keys are rejected.
 
 Every (arm, fold) run starts from identical initial parameters and the
 same shuffle stream, derived deterministically from the master seed and
@@ -36,6 +10,7 @@ the fold index, so arms differ only in their curriculum schedule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -89,6 +64,8 @@ class ExperimentConfig:
     echo: dict | None = None
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if (self.synth is None) == (self.csv_path is None):
             raise ConfigError("config needs exactly one data source (synthetic or csv)")
         if not self.arms:
@@ -127,6 +104,8 @@ def _get_float(section: dict, key: str, default: float, where: str) -> float:
     value = section.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
     return float(value)
 
 
@@ -179,16 +158,15 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError("data: needs 'synthetic' or 'csv'")
 
     train_raw = _require_mapping(raw.get("train", {}), "train")
-    _reject_unknown(train_raw, {"learning_rate", "epochs", "batch_size", "hidden_sizes", "seed"}, "train")
+    _reject_unknown(train_raw, {"learning_rate", "epochs", "batch_size", "hidden_sizes"}, "train")
     hidden = train_raw.get("hidden_sizes", [16])
-    if not isinstance(hidden, (list, tuple)):
-        raise ConfigError(f"train.hidden_sizes must be a list, got {hidden!r}")
+    if not isinstance(hidden, list) or any(isinstance(h, bool) or not isinstance(h, int) for h in hidden):
+        raise ConfigError(f"train.hidden_sizes must be a list of integers, got {hidden!r}")
     try:
         train = TrainConfig(
             learning_rate=_get_float(train_raw, "learning_rate", 0.05, "train"),
             epochs=_get_int(train_raw, "epochs", 100, "train"),
             batch_size=_get_int(train_raw, "batch_size", 32, "train"),
-            seed=_get_int(train_raw, "seed", 0, "train"),
             hidden_sizes=tuple(hidden),
         )
     except ValueError as e:
@@ -208,8 +186,6 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             raise ConfigError(f"{where}: missing required key 'kind'")
         kind = arm_raw["kind"]
         total = _get_int(arm_raw, "E", train.epochs, where)
-        if total != train.epochs:
-            raise ConfigError(f"{where}: E={total} must equal train.epochs={train.epochs}")
         switch = _get_int(arm_raw, "L", default_switch_epoch(total), where)
         try:
             spec = SchedulerSpec(
@@ -242,14 +218,19 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     )
 
 
+def resolved_synth(config: ExperimentConfig) -> SynthConfig:
+    """The config's synthetic-data parameters with the seed filled in: the
+    configured ``data.synthetic.seed``, else one derived from the master seed."""
+    if config.synth.seed is not None:
+        return config.synth
+    return replace(config.synth, seed=child_seed(config.seed, "data"))
+
+
 def build_dataset(config: ExperimentConfig) -> Dataset:
-    """Materialise the config's data source (synthetic seed resolved here)."""
+    """Materialise the config's data source."""
     if config.csv_path is not None:
         return load_csv(config.csv_path)
-    synth = config.synth
-    if synth.seed is None:
-        synth = replace(synth, seed=child_seed(config.seed, "data"))
-    return generate_synthetic(synth)
+    return generate_synthetic(resolved_synth(config))
 
 
 @dataclass(frozen=True)

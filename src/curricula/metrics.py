@@ -70,17 +70,26 @@ def accuracy(probs, labels) -> float:
     return float(np.mean(np.argmax(p, axis=1) == y))
 
 
-def balanced_accuracy(probs, labels) -> float:
-    """Unweighted mean of the three per-class recalls."""
-    p, y = _check_inputs(probs, labels)
-    pred = np.argmax(p, axis=1)
+def mean_recall(pred_labels: np.ndarray, true_labels: np.ndarray) -> float:
+    """Mean per-class recall over the classes present in ``true_labels``.
+
+    Model selection scores validation sets with this directly, so a class
+    missing from a small validation set is skipped rather than fatal.
+    """
     recalls = []
-    for c in _CLASSES:
-        mask = y == c
-        if not mask.any():
-            raise ValueError(f"class {c} is absent from labels")
-        recalls.append(np.mean(pred[mask] == c))
+    for c in np.unique(true_labels):
+        mask = true_labels == c
+        recalls.append(float(np.mean(pred_labels[mask] == c)))
     return float(np.mean(recalls))
+
+
+def balanced_accuracy(probs, labels) -> float:
+    """Unweighted mean of the three per-class recalls; every class must be present."""
+    p, y = _check_inputs(probs, labels)
+    for c in _CLASSES:
+        if not (y == c).any():
+            raise ValueError(f"class {c} is absent from labels")
+    return mean_recall(np.argmax(p, axis=1), y)
 
 
 def auc_binary(scores, targets) -> float:

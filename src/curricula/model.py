@@ -15,6 +15,7 @@ import numpy as np
 
 from .data import Dataset
 from .losses import batch_combined_loss_grad, softmax
+from .metrics import mean_recall
 
 N_CLASSES = 3
 
@@ -24,7 +25,6 @@ class TrainConfig:
     learning_rate: float = 0.05
     epochs: int = 100
     batch_size: int = 32
-    seed: int = 0
     hidden_sizes: tuple[int, ...] = (16,)
 
     def __post_init__(self) -> None:
@@ -34,8 +34,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         hidden = tuple(int(h) for h in self.hidden_sizes)
         if any(h < 1 for h in hidden):
             raise ValueError(f"hidden layer sizes must be positive, got {self.hidden_sizes!r}")
@@ -113,34 +111,12 @@ def _forward(params: ModelParams, x: np.ndarray):
     return scores, pre_acts, activations
 
 
-def scores_for(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Pre-softmax scores for a batch (n, d) or a single feature vector (d,)."""
-    x = np.asarray(features, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != params.input_dim:
-        raise ValueError(
-            f"features must have dimension {params.input_dim}, got shape {np.asarray(features).shape}"
-        )
-    scores, _, _ = _forward(params, x)
-    return scores[0] if single else scores
-
-
-def predict_proba(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Class probabilities (softmax of the final scores) for one sample."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a single feature vector, got shape {x.shape}")
-    return softmax(scores_for(params, x))
-
-
 def predict_proba_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Class probabilities, one row per sample."""
+    """Class probabilities (softmax of the final scores), one row per sample."""
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"expected a (n, d) feature matrix, got shape {x.shape}")
-    return softmax(scores_for(params, x))
+    if x.ndim != 2 or x.shape[1] != params.input_dim:
+        raise ValueError(f"expected an (n, {params.input_dim}) feature matrix, got shape {x.shape}")
+    return softmax(_forward(params, x)[0])
 
 
 def _backward(params: ModelParams, score_grad: np.ndarray, pre_acts, activations):
@@ -189,21 +165,6 @@ def train_epoch(
             w -= config.learning_rate * dw
             b -= config.learning_rate * db
     return params, total_loss / n
-
-
-def accuracy_on(params: ModelParams, dataset: Dataset) -> float:
-    """Fraction of samples whose argmax class matches the label."""
-    probs = predict_proba_batch(params, dataset.features)
-    return float(np.mean(np.argmax(probs, axis=1) == dataset.labels))
-
-
-def mean_recall(pred_labels: np.ndarray, true_labels: np.ndarray) -> float:
-    """Mean per-class recall over the classes present in ``true_labels``."""
-    recalls = []
-    for c in np.unique(true_labels):
-        mask = true_labels == c
-        recalls.append(float(np.mean(pred_labels[mask] == c)))
-    return float(np.mean(recalls))
 
 
 @dataclass

@@ -14,8 +14,8 @@ from curricula import cli
 from curricula.data import SynthConfig, generate_synthetic, stratified_kfold
 from curricula.harness import Arm, child_seed, parse_config, render_report, run_experiment
 from curricula.losses import coarsen, combined_loss, combined_loss_grad, easy_loss, hard_loss, softmax
-from curricula.metrics import auc_binary, average_auc, evaluate
-from curricula.model import TrainConfig, accuracy_on, init, predict_proba_batch, train
+from curricula.metrics import accuracy, auc_binary, average_auc, evaluate
+from curricula.model import TrainConfig, init, predict_proba_batch, train
 from curricula.scheduler import CURRICULUM_KINDS, SchedulerSpec, lambda_at
 
 TABLE_COUNTS = (349, 653, 707)
@@ -100,10 +100,10 @@ def test_criterion_3_gradient_oracle():
 
         # full-network backprop on random small networks
         from curricula.losses import batch_combined_loss_grad
-        from curricula.model import _backward, _forward, scores_for
+        from curricula.model import _backward, _forward
 
         def batch_loss(params, x, y, lam):
-            losses, _ = batch_combined_loss_grad(scores_for(params, x), y, lam)
+            losses, _ = batch_combined_loss_grad(_forward(params, x)[0], y, lam)
             return float(losses.mean())
 
         checks = 0
@@ -396,4 +396,4 @@ def test_criterion_8_smoke_learnability():
         config = TrainConfig(learning_rate=0.05, epochs=50, batch_size=32, hidden_sizes=(16,))
         params = init([2, 16, 3], seed=81)
         result = train(params, dataset, dataset, [0.0] * 50, config, np.random.default_rng(82))
-        assert accuracy_on(result.params, dataset) >= 0.95
+        assert accuracy(predict_proba_batch(result.params, dataset.features), dataset.labels) >= 0.95

@@ -28,7 +28,7 @@ class TestDataset:
         assert len(ds) == 3
         assert ds.feature_dim == 2
         assert ds.class_counts() == (1, 1, 1)
-        assert ds[1].id == 7 and ds[1].y == 1
+        assert ds.ids[1] == 7 and ds.labels[1] == 1
 
     def test_subset_by_ids(self):
         ds = Dataset(np.arange(8).reshape(4, 2), np.array([0, 1, 2, 1]), np.array([3, 1, 4, 1 + 8]))

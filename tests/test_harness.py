@@ -114,10 +114,44 @@ class TestParseConfig:
             "data:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: step}\nbogus: 1\n",
             "data:\n  synthetic:\n    counts: [10, 10, 10]\n    shape: round\narms:\n  - {kind: step}\n",
             "data:\n  synthetic:\n    counts: [10, 10, 10]\ntrain:\n  lr: 0.1\narms:\n  - {kind: step}\n",
+            "data:\n  synthetic:\n    counts: [10, 10, 10]\ntrain:\n  seed: 0\narms:\n  - {kind: step}\n",
             "data:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: step, warmup: 3}\n",
         ):
             with pytest.raises(ConfigError, match="unknown keys"):
                 parse_config(write_config(tmp_path, text))
+
+    def test_non_finite_number_names_key(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            "data:\n  synthetic:\n    counts: [10, 10, 10]\n"
+            "train:\n  learning_rate: .inf\n"
+            "arms:\n  - {kind: step}\n",
+        )
+        with pytest.raises(ConfigError, match=r"train\.learning_rate must be finite"):
+            parse_config(path)
+
+    def test_non_integer_hidden_sizes_name_key(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            "data:\n  synthetic:\n    counts: [10, 10, 10]\n"
+            "train:\n  hidden_sizes: [2.7, true]\n"
+            "arms:\n  - {kind: step}\n",
+        )
+        with pytest.raises(ConfigError, match=r"train\.hidden_sizes must be a list of integers"):
+            parse_config(path)
+
+    def test_negative_seeds_name_key(self, tmp_path):
+        path = write_config(
+            tmp_path, "seed: -1\ndata:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: step}\n"
+        )
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
+            parse_config(path)
+        path = write_config(
+            tmp_path,
+            "data:\n  synthetic:\n    counts: [10, 10, 10]\n    seed: -1\narms:\n  - {kind: step}\n",
+        )
+        with pytest.raises(ConfigError, match=r"data\.synthetic: seed must be non-negative, got -1"):
+            parse_config(path)
 
     def test_missing_sections_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="data"):
@@ -306,6 +340,12 @@ class TestCli:
         assert (out_a / "per_fold.csv").read_bytes() != (out_b / "per_fold.csv").read_bytes()
         # config seed is 5, so an explicit --seed 5 matches the plain run
         assert (out_a / "per_fold.csv").read_bytes() == (out_c / "per_fold.csv").read_bytes()
+
+    def test_negative_seed_override_names_key(self, small_config, tmp_path, capsys):
+        out = tmp_path / "results"
+        assert cli.main(["run", "--config", str(small_config), "--out", str(out), "--seed", "-3"]) == 1
+        assert "seed must be a non-negative integer, got -3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_env_var_sets_output_dir_and_flag_wins(self, small_config, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"

@@ -10,6 +10,7 @@ from curricula.metrics import (
     balanced_accuracy,
     binary_task_metrics,
     evaluate,
+    mean_recall,
 )
 
 
@@ -67,6 +68,30 @@ class TestBalancedAccuracy:
         probs = np.ones((4, 3)) / 3
         with pytest.raises(ValueError, match="class 2"):
             balanced_accuracy(probs, [0, 0, 1, 1])
+
+
+class TestMeanRecall:
+    def test_absent_class_averages_present_classes(self):
+        # validation labels without class 2: recalls 1 (class 0) and 1/2 (class 1)
+        true = np.array([0, 0, 1, 1])
+        pred = np.array([0, 0, 1, 2])
+        assert mean_recall(pred, true) == 0.75
+        with pytest.raises(ValueError, match="class 2"):
+            balanced_accuracy(np.eye(3)[pred], true)
+
+    def test_bit_equal_to_balanced_accuracy_when_all_classes_present(self):
+        rng = np.random.default_rng(3)
+        for n in (3, 10, 97):
+            labels = rng.integers(3, size=n)
+            labels[:3] = [0, 1, 2]
+            probs = random_probs(rng, n)
+            assert mean_recall(np.argmax(probs, axis=1), labels) == balanced_accuracy(probs, labels)
+
+    def test_model_selection_uses_the_same_definition(self):
+        import curricula.metrics
+        import curricula.model
+
+        assert curricula.model.mean_recall is curricula.metrics.mean_recall
 
 
 class TestAucBinary:

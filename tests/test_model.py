@@ -3,13 +3,12 @@ import pytest
 
 from curricula.data import Dataset, SynthConfig, generate_synthetic
 from curricula.losses import batch_combined_loss_grad, combined_loss_grad
+from curricula.metrics import accuracy
 from curricula.model import (
     ModelParams,
     TrainConfig,
-    accuracy_on,
     init,
     load_params,
-    predict_proba,
     predict_proba_batch,
     save_params,
     train,
@@ -26,9 +25,9 @@ def tiny_dataset(rng, n=40, dim=3):
 
 def batch_loss(params, x, y, lam):
     """Scalar batch loss used by the finite-difference oracle."""
-    from curricula.model import scores_for
+    from curricula.model import _forward
 
-    losses, _ = batch_combined_loss_grad(scores_for(params, x), y, lam)
+    losses, _ = batch_combined_loss_grad(_forward(params, x)[0], y, lam)
     return float(losses.mean())
 
 
@@ -64,7 +63,7 @@ def test_params_validation():
 
 def test_zero_params_predict_uniform():
     params = ModelParams((5, 3), [np.zeros((3, 5))], [np.zeros(3)])
-    np.testing.assert_allclose(predict_proba(params, np.ones(5)), [1 / 3] * 3, atol=0)
+    np.testing.assert_allclose(predict_proba_batch(params, np.ones((1, 5)))[0], [1 / 3] * 3, atol=0)
 
 
 def test_predictions_are_probabilities():
@@ -78,13 +77,15 @@ def test_predictions_are_probabilities():
 def test_handcrafted_weights_pick_class_2():
     weights = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 3.0]])
     params = ModelParams((2, 3), [weights], [np.zeros(3)])
-    assert int(np.argmax(predict_proba(params, np.array([1.0, 1.0])))) == 2
+    assert int(np.argmax(predict_proba_batch(params, np.array([[1.0, 1.0]]))[0])) == 2
 
 
 def test_dimension_mismatch_rejected():
     params = init([4, 3], seed=0)
     with pytest.raises(ValueError):
-        predict_proba(params, np.ones(3))
+        predict_proba_batch(params, np.ones((1, 3)))
+    with pytest.raises(ValueError):
+        predict_proba_batch(params, np.ones(4))  # a single vector is not a batch
     with pytest.raises(ValueError):
         predict_proba_batch(params, np.ones((5, 2)))
 
@@ -230,7 +231,7 @@ def test_separable_blobs_are_learned():
     )
     params = init([2, 16, 3], seed=13)
     result = train(params, dataset, dataset, [0.0] * 50, config, np.random.default_rng(14))
-    assert accuracy_on(result.params, dataset) >= 0.95
+    assert accuracy(predict_proba_batch(result.params, dataset.features), dataset.labels) >= 0.95
 
 
 def test_best_epoch_selection_prefers_earlier_ties():

@@ -81,11 +81,16 @@ class Dataset:
 
     def subset(self, ids: np.ndarray) -> "Dataset":
         """The sub-dataset holding exactly the given ids, in the given order."""
-        index_of = {int(v): i for i, v in enumerate(self.ids)}
-        try:
-            rows = np.array([index_of[int(v)] for v in np.asarray(ids).ravel()], dtype=np.int64)
-        except KeyError as e:
-            raise ValueError(f"id {e.args[0]} not present in dataset") from None
+        wanted = np.asarray(ids).ravel()
+        query = wanted.astype(np.int64)
+        order = np.argsort(self.ids)
+        sorted_ids = self.ids[order]
+        pos = np.minimum(np.searchsorted(sorted_ids, query), len(sorted_ids) - 1)
+        found = sorted_ids[pos] == query
+        if not found.all():
+            first_missing = int(np.argmin(found))
+            raise ValueError(f"id {int(wanted[first_missing])} not present in dataset")
+        rows = order[pos]
         return Dataset(self.features[rows], self.labels[rows], self.ids[rows])
 
 

@@ -66,6 +66,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.k < 2:
+            raise ConfigError(f"config.k must be at least 2, got {self.k!r}")
+        if not (0.0 < self.val_fraction < 1.0):
+            raise ConfigError(f"config.val_fraction must lie in (0, 1), got {self.val_fraction!r}")
         if (self.synth is None) == (self.csv_path is None):
             raise ConfigError("config needs exactly one data source (synthetic or csv)")
         if not self.arms:

@@ -110,12 +110,36 @@ def combined_loss_grad(scores, y: int, lam: float) -> np.ndarray:
     return lam * grad_easy + (1.0 - lam) * grad_hard
 
 
+def _clamp_array(p: np.ndarray) -> np.ndarray:
+    # minimum(maximum(...)) is what _clamp does, without np.clip's overhead.
+    return np.minimum(np.maximum(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
+
+
+def _check_fine_labels(labels: np.ndarray) -> np.ndarray:
+    """Fine labels as int64 indices; raises unless each is 0, 1 or 2."""
+    if labels.dtype.kind in "iu":
+        # Integers need only a range check, which min/max do in one pass each.
+        ok = labels.size == 0 or (labels.min() >= 0 and labels.max() <= 2)
+    else:
+        # Floats (1.5 must fail) and bools keep the exact membership test.
+        ok = np.isin(labels, _FINE_LABELS).all()
+    if not ok:
+        raise ValueError("labels must be 0, 1, or 2")
+    return labels.astype(np.int64, copy=False)
+
+
 def batch_combined_loss_grad(scores: np.ndarray, labels: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised per-sample losses and score gradients for a batch.
 
     ``scores`` has shape (n, 3) and ``labels`` shape (n,). Returns the
-    per-sample blended losses (n,) and the per-sample gradients (n, 3);
-    both match the scalar ops sample by sample.
+    per-sample blended losses (n,) and the per-sample gradients (n, 3).
+    Every call validates its inputs and raises ``ValueError`` unless
+    ``lam`` lies in [0, 1], ``labels`` is one-dimensional with every
+    entry 0, 1 or 2 (integer, float or bool dtype), and ``scores`` is a
+    finite (n, 3) array. Both outputs are bit-equal, sample by sample, to
+    ``combined_loss(softmax(scores[i]), labels[i], lam)`` and
+    ``combined_loss_grad(scores[i], labels[i], lam)``: each element goes
+    through the same floating-point operations in the same order.
     """
     lam = _check_weight(lam)
     scores = np.asarray(scores, dtype=np.float64)
@@ -125,32 +149,27 @@ def batch_combined_loss_grad(scores: np.ndarray, labels: np.ndarray, lam: float)
     n = labels.shape[0]
     if scores.shape != (n, 3):
         raise ValueError(f"expected scores of shape ({n}, 3), got {scores.shape}")
-    if not np.all(np.isfinite(scores)):
+    if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
-    if not np.isin(labels, _FINE_LABELS).all():
-        raise ValueError("labels must be 0, 1, or 2")
-    labels = labels.astype(np.int64)
+    labels = _check_fine_labels(labels)
+    rows = np.arange(n)
+    coarse = labels != 0
 
     p = softmax(scores)
-    p_true = np.clip(p[np.arange(n), labels], PROB_FLOOR, 1.0 - PROB_FLOOR)
-    hard = -np.log(p_true)
-
-    z = (labels != 0).astype(np.float64)
     p0 = p[:, 0]
-    p_coarse = np.where(z == 0.0, p0, 1.0 - p0)
-    easy = -np.log(np.clip(p_coarse, PROB_FLOOR, 1.0 - PROB_FLOOR))
+    hard = -np.log(_clamp_array(p[rows, labels]))
+    easy = -np.log(_clamp_array(np.where(coarse, 1.0 - p0, p0)))
     losses = lam * easy + (1.0 - lam) * hard
 
-    onehot = np.zeros((n, 3))
-    onehot[np.arange(n), labels] = 1.0
-    grad_hard = p - onehot
-
-    onehot_0 = np.zeros((n, 3))
-    onehot_0[:, 0] = 1.0
+    # p - onehot(y), written as a copy of p with 1 taken off at y.
+    grad_hard = p.copy()
+    grad_hard[rows, labels] -= 1.0
+    # onehot(0) - p; 0.0 - p keeps +0.0 where p is 0, as the scalar op does.
+    to_class_0 = 0.0 - p
+    to_class_0[:, 0] = 1.0 - p0
     ratio = p0 / np.maximum(1.0 - p0, PROB_FLOOR)
-    grad_easy = np.where(
-        z[:, None] == 0.0, p - onehot_0, ratio[:, None] * (onehot_0 - p)
-    )
+    # For label 0 the easy gradient p - onehot(0) is grad_hard itself.
+    grad_easy = np.where(coarse[:, None], ratio[:, None] * to_class_0, grad_hard)
 
     grads = lam * grad_easy + (1.0 - lam) * grad_hard
     return losses, grads

@@ -8,6 +8,7 @@ deterministic given the initial parameters and the shuffle generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,8 +29,8 @@ class TrainConfig:
     hidden_sizes: tuple[int, ...] = (16,)
 
     def __post_init__(self) -> None:
-        if not (self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (0 < self.learning_rate < math.inf):
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -152,15 +153,17 @@ def train_epoch(
     if n == 0:
         raise ValueError("training set is empty")
     order = rng.permutation(n)
+    # One gather per epoch; each batch is then a contiguous slice of it.
+    features = train_set.features[order]
+    labels = train_set.labels[order]
     total_loss = 0.0
     for start in range(0, n, config.batch_size):
-        batch = order[start : start + config.batch_size]
-        x = train_set.features[batch]
-        y = train_set.labels[batch]
+        x = features[start : start + config.batch_size]
+        y = labels[start : start + config.batch_size]
         scores, pre_acts, activations = _forward(params, x)
         losses, grads = batch_combined_loss_grad(scores, y, lam)
         total_loss += float(losses.sum())
-        weight_grads, bias_grads = _backward(params, grads / len(batch), pre_acts, activations)
+        weight_grads, bias_grads = _backward(params, grads / len(y), pre_acts, activations)
         for w, b, dw, db in zip(params.weights, params.biases, weight_grads, bias_grads):
             w -= config.learning_rate * dw
             b -= config.learning_rate * db

@@ -153,6 +153,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"data\.synthetic: seed must be non-negative, got -1"):
             parse_config(path)
 
+    def test_fold_count_below_two_names_key(self, tmp_path):
+        path = write_config(
+            tmp_path, "k: 1\ndata:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: step}\n"
+        )
+        with pytest.raises(ConfigError, match=r"config\.k must be at least 2, got 1"):
+            parse_config(path)
+
+    def test_val_fraction_out_of_range_names_key(self, tmp_path):
+        for bad in ("1.5", "0", "1.0", "-0.2"):
+            path = write_config(
+                tmp_path,
+                f"val_fraction: {bad}\ndata:\n  synthetic:\n    counts: [10, 10, 10]\n"
+                "arms:\n  - {kind: step}\n",
+            )
+            with pytest.raises(ConfigError, match=r"config\.val_fraction must lie in \(0, 1\)"):
+                parse_config(path)
+
     def test_missing_sections_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="data"):
             parse_config(write_config(tmp_path, "arms:\n  - {kind: step}\n"))

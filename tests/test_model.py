@@ -244,6 +244,12 @@ def test_best_epoch_selection_prefers_earlier_ties():
     assert result.best_epoch == 0
 
 
+def test_train_config_rejects_non_finite_learning_rate():
+    for bad in (float("inf"), float("nan"), 0.0, -0.1):
+        with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+            TrainConfig(learning_rate=bad)
+
+
 def test_train_rejects_mismatched_lambdas_and_empty_val():
     rng = np.random.default_rng(7)
     dataset = tiny_dataset(rng, n=12)

@@ -1,0 +1,166 @@
+"""Property tests: the vectorised hot-path code against scalar references.
+
+``batch_combined_loss_grad`` must be bit-equal, sample by sample, to the
+scalar ``combined_loss``/``combined_loss_grad``, and ``Dataset.subset``
+must slice exactly what a plain id->row dict lookup would.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from curricula.data import Dataset
+from curricula.losses import (
+    PROB_FLOOR,
+    batch_combined_loss_grad,
+    combined_loss,
+    combined_loss_grad,
+    softmax,
+)
+
+# Differences of a few hundred between scores push softmax outputs far
+# below PROB_FLOOR, down to exact zeros.
+SCORE = st.floats(min_value=-400.0, max_value=400.0, allow_nan=False, allow_infinity=False)
+LAM = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def batches(draw):
+    n = draw(st.integers(min_value=1, max_value=64))
+    scores = draw(hnp.arrays(np.float64, (n, 3), elements=SCORE))
+    single_class = draw(st.booleans())
+    if single_class:
+        labels = np.full(n, draw(st.integers(0, 2)), dtype=np.int64)
+    else:
+        labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 2)))
+    return scores, labels
+
+
+def assert_bit_equal_to_scalar(scores, labels, lam):
+    losses, grads = batch_combined_loss_grad(scores, labels, lam)
+    assert losses.shape == (len(labels),) and grads.shape == (len(labels), 3)
+    for i in range(len(labels)):
+        y = int(labels[i])
+        want_loss = np.float64(combined_loss(softmax(scores[i]), y, lam))
+        assert losses[i].tobytes() == want_loss.tobytes(), (i, losses[i], want_loss)
+        want_grad = combined_loss_grad(scores[i], y, lam)
+        assert grads[i].tobytes() == want_grad.tobytes(), (i, grads[i], want_grad)
+
+
+@settings(deadline=None)
+@given(batches(), LAM)
+def test_batch_is_bit_equal_to_scalar_ops(batch, lam):
+    scores, labels = batch
+    assert_bit_equal_to_scalar(scores, labels, lam)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_bit_equal_where_probabilities_hit_the_floor(lam):
+    # Rows whose softmax puts p[y], p[0] or 1 - p[0] below PROB_FLOOR,
+    # including probabilities that underflow to exactly 0.
+    scores = np.array(
+        [
+            [40.0, 0.0, 0.0],
+            [-40.0, 0.0, 0.0],
+            [0.0, 40.0, -40.0],
+            [0.0, -800.0, 800.0],
+            [800.0, -800.0, 0.0],
+            [-800.0, 800.0, 0.0],
+        ]
+    )
+    for label in range(3):
+        labels = np.full(len(scores), label)
+        p = softmax(scores)
+        assert (p < PROB_FLOOR).any()
+        assert_bit_equal_to_scalar(scores, labels, lam)
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from([np.int8, np.int32, np.int64, np.uint8, np.uint64]),
+    st.integers(min_value=1, max_value=16),
+    st.data(),
+)
+def test_out_of_range_integer_labels_raise(dtype, n, data):
+    info = np.iinfo(dtype)
+    too_large = st.integers(3, int(info.max))
+    bad = data.draw(st.one_of(too_large, st.integers(int(info.min), -1)) if info.min < 0 else too_large)
+    labels = np.zeros(n, dtype=dtype)
+    labels[data.draw(st.integers(0, n - 1))] = bad
+    with pytest.raises(ValueError, match="labels must be 0, 1, or 2"):
+        batch_combined_loss_grad(np.zeros((n, 3)), labels, 0.5)
+
+
+def test_integer_labels_of_any_width_are_accepted():
+    scores = np.random.default_rng(3).normal(size=(6, 3))
+    want = batch_combined_loss_grad(scores, np.array([0, 1, 2, 2, 1, 0]), 0.3)
+    for dtype in (np.int8, np.int32, np.uint8, np.uint64):
+        got = batch_combined_loss_grad(scores, np.array([0, 1, 2, 2, 1, 0], dtype=dtype), 0.3)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_float_labels_must_be_whole_class_numbers():
+    scores = np.zeros((3, 3))
+    with pytest.raises(ValueError, match="labels must be 0, 1, or 2"):
+        batch_combined_loss_grad(scores, np.array([0.0, 1.5, 2.0]), 0.5)
+    with pytest.raises(ValueError, match="labels must be 0, 1, or 2"):
+        batch_combined_loss_grad(scores, np.array([0.0, np.nan, 2.0]), 0.5)
+    got = batch_combined_loss_grad(scores, np.array([0.0, 1.0, 2.0]), 0.5)
+    want = batch_combined_loss_grad(scores, np.array([0, 1, 2]), 0.5)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_bool_labels_are_accepted_as_zero_and_one():
+    scores = np.random.default_rng(4).normal(size=(4, 3))
+    got = batch_combined_loss_grad(scores, np.array([True, False, True, False]), 0.25)
+    want = batch_combined_loss_grad(scores, np.array([1, 0, 1, 0]), 0.25)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_empty_batch_gives_empty_outputs():
+    losses, grads = batch_combined_loss_grad(np.zeros((0, 3)), np.array([], dtype=np.int64), 0.5)
+    assert losses.shape == (0,) and grads.shape == (0, 3)
+
+
+@st.composite
+def datasets_and_queries(draw):
+    ids = draw(st.lists(st.integers(0, 10**9), min_size=1, max_size=60, unique=True))
+    ids = draw(st.permutations(ids))  # shuffled, not sorted
+    n = len(ids)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dataset = Dataset(rng.normal(size=(n, 2)), rng.integers(3, size=n), np.array(ids))
+    query = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=n, unique=True))
+    return dataset, query
+
+
+def reference_rows(dataset, query):
+    index_of = {int(v): i for i, v in enumerate(dataset.ids)}
+    return [index_of[int(v)] for v in query]
+
+
+@settings(deadline=None)
+@given(datasets_and_queries())
+def test_subset_matches_dict_reference(case):
+    dataset, query = case
+    rows = reference_rows(dataset, query)
+    sub = dataset.subset(np.array(query))
+    np.testing.assert_array_equal(sub.ids, dataset.ids[rows])
+    np.testing.assert_array_equal(sub.labels, dataset.labels[rows])
+    assert sub.features.tobytes() == dataset.features[rows].tobytes()
+
+
+@settings(deadline=None)
+@given(datasets_and_queries(), st.lists(st.integers(0, 2 * 10**9), min_size=1, max_size=5), st.data())
+def test_subset_names_first_missing_id_in_query_order(case, extra, data):
+    dataset, query = case
+    present = set(dataset.ids.tolist())
+    missing = [v for v in extra if v not in present]
+    assume(missing)
+    mixed = list(query)
+    for v in missing:
+        mixed.insert(data.draw(st.integers(0, len(mixed))), v)
+    first = next(v for v in mixed if v in missing)
+    with pytest.raises(ValueError, match=rf"^id {first} not present in dataset$"):
+        dataset.subset(np.array(mixed))

@@ -138,7 +138,11 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         if "counts" not in s:
             raise ConfigError("data.synthetic: missing required key 'counts'")
         counts = s["counts"]
-        if not isinstance(counts, (list, tuple)) or len(counts) != 3:
+        if (
+            not isinstance(counts, (list, tuple))
+            or len(counts) != 3
+            or any(isinstance(c, bool) or not isinstance(c, int) for c in counts)
+        ):
             raise ConfigError(f"data.synthetic.counts must be a list of three integers, got {counts!r}")
         seed = s.get("seed")
         if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):

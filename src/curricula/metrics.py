@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 _CLASSES = (0, 1, 2)
 
@@ -33,15 +32,6 @@ class MetricsReport:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be positive, got {self.n_samples}")
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "accuracy": self.accuracy,
-            "balanced_accuracy": self.balanced_accuracy,
-            "average_auc": self.average_auc,
-            "binary_accuracy": self.binary_accuracy,
-            "binary_auc": self.binary_auc,
-        }
 
 
 #: Column order used in reports and CSV files.
@@ -96,7 +86,8 @@ def auc_binary(scores, targets) -> float:
     """Mann-Whitney AUC of ``scores`` against binary ``targets``.
 
     Computed from average ranks, which matches the all-pairs definition
-    (win = 1, tie = 1/2) exactly, ties included.
+    (win = 1, tie = 1/2) exactly, ties included. ±inf scores rank like
+    any other value; NaN scores have no order and are rejected.
     """
     s = np.asarray(scores, dtype=np.float64)
     t = np.asarray(targets)
@@ -109,7 +100,11 @@ def auc_binary(scores, targets) -> float:
     n_neg = int(t.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise ValueError("need at least one positive and one negative target")
-    ranks = rankdata(s, method="average")
+    if np.isnan(s).any():
+        raise ValueError("scores must not be NaN")
+    # 1-based average rank of each tie group: its last rank minus half its extra members
+    _, group, sizes = np.unique(s, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(sizes) - (sizes - 1) / 2.0)[group]
     u = ranks[t].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

@@ -140,6 +140,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"train\.hidden_sizes must be a list of integers"):
             parse_config(path)
 
+    def test_non_integer_counts_name_key(self, tmp_path):
+        for counts in ("[20.9, 20, 30]", "[20, true, 30]"):
+            path = write_config(
+                tmp_path, f"data:\n  synthetic:\n    counts: {counts}\narms:\n  - {{kind: step}}\n"
+            )
+            with pytest.raises(ConfigError, match=r"data\.synthetic\.counts must be a list of three integers"):
+                parse_config(path)
+
     def test_negative_seeds_name_key(self, tmp_path):
         path = write_config(
             tmp_path, "seed: -1\ndata:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: step}\n"

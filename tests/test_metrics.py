@@ -114,6 +114,9 @@ class TestAucBinary:
             if targets.sum() in (0, n):
                 targets[0] = 1 - targets[0]
             assert auc_binary(scores, targets) == pairwise_auc(scores, targets)
+            # the same inputs with some scores at +-inf, which rank like any other value
+            scores[::7], scores[3::7] = np.inf, -np.inf
+            assert auc_binary(scores, targets) == pairwise_auc(scores, targets)
 
     def test_invariant_under_increasing_transforms(self):
         rng = np.random.default_rng(2)
@@ -123,6 +126,10 @@ class TestAucBinary:
         base = auc_binary(scores, targets)
         assert auc_binary(3.0 * scores + 7.0, targets) == base
         assert auc_binary(scores**3, targets) == base
+
+    def test_nan_score_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            auc_binary([np.nan, 0.2, 0.7], [0, 1, 1])
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):

@@ -48,10 +48,20 @@ def _clamp(p: float) -> float:
     return min(max(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
 
 
+def _neg_log(p: float) -> float:
+    """``-log`` of the clamped probability.
+
+    Uses ``np.log`` rather than ``math.log``: numpy's SIMD log can differ
+    from the C library's by an ulp, and these scalar losses must stay
+    bit-equal to ``batch_combined_loss_grad``, which logs whole arrays.
+    """
+    return -float(np.log(_clamp(p)))
+
+
 def hard_loss(p, y: int) -> float:
     """Three-class cross entropy: ``-log p[y]``."""
     y = _check_fine_label(y)
-    return -math.log(_clamp(float(p[y])))
+    return _neg_log(float(p[y]))
 
 
 def easy_loss(p, z: int) -> float:
@@ -60,8 +70,8 @@ def easy_loss(p, z: int) -> float:
         raise ValueError(f"coarse label must be 0 or 1, got {z!r}")
     p0 = float(p[0])
     if int(z) == 0:
-        return -math.log(_clamp(p0))
-    return -math.log(_clamp(1.0 - p0))
+        return _neg_log(p0)
+    return _neg_log(1.0 - p0)
 
 
 def combined_loss(p, y: int, lam: float) -> float:

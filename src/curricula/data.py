@@ -10,22 +10,37 @@ touching the coarse one.
 
 CSV format: header ``id,label,f1,...,fd``, one sample per row, labels in
 {0, 1, 2}, decimal feature values. Partition exports are rows of
-``id,fold_index,split`` with split in {train, val, test}.
+``id,fold_index,split`` with split in {train, val, test}. Both writers end
+lines with ``\\r\\n``, as ``csv.writer`` does, and write each feature as
+its shortest round-trip ``repr``. ``load_csv`` checks lines in file order,
+so an error names the first bad line.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 _CLASSES = (0, 1, 2)
+_MAX_ID = np.iinfo(np.int64).max
+# Rows converted to Python numbers at a time by the CSV writers: large enough
+# to amortise the numpy calls, small enough to keep the lists out of peak memory.
+_CHUNK_ROWS = 4096
 
 
 class ParseError(ValueError):
     """A data file that does not match the documented format."""
+
+
+def _has_repeats(ids: np.ndarray) -> bool:
+    # np.sort is far cheaper than np.unique or a Python set at 100k ids
+    ordered = np.sort(ids)
+    return bool((ordered[1:] == ordered[:-1]).any())
 
 
 @dataclass(frozen=True)
@@ -60,7 +75,7 @@ class Dataset:
             raise ValueError("labels must be 0, 1, or 2")
         if (ids < 0).any():
             raise ValueError("ids must be non-negative")
-        if np.unique(ids).size != n:
+        if _has_repeats(ids):
             raise ValueError("ids must be unique")
         for arr in (features, labels, ids):
             arr.setflags(write=False)
@@ -170,7 +185,7 @@ def load_csv(path: str | Path) -> Dataset:
             raise ParseError(f"{path}: line 1: header must be 'id,label,f1,...,fd', got {','.join(header)!r}")
         dim = len(header) - 2
 
-        ids, labels, rows = [], [], []
+        ids, labels, features = array("q"), array("q"), array("d")
         for lineno, row in enumerate(reader, start=2):
             if len(row) != dim + 2:
                 raise ParseError(f"{path}: line {lineno}: expected {dim + 2} columns, got {len(row)}")
@@ -184,29 +199,40 @@ def load_csv(path: str | Path) -> Dataset:
                 raise ParseError(f"{path}: line {lineno}: label must be 0, 1, or 2, got {label}")
             if sample_id < 0:
                 raise ParseError(f"{path}: line {lineno}: id must be non-negative, got {sample_id}")
-            if not all(np.isfinite(values)):
+            if not all(map(math.isfinite, values)):
                 raise ParseError(f"{path}: line {lineno}: features must be finite")
+            if sample_id > _MAX_ID:
+                raise ParseError(f"{path}: line {lineno}: id must be at most {_MAX_ID}, got {sample_id}")
             ids.append(sample_id)
             labels.append(label)
-            rows.append(values)
+            features.extend(values)
 
-    if not rows:
+    if not ids:
         raise ParseError(f"{path}: no samples")
-    if len(set(ids)) != len(ids):
+    id_array = np.frombuffer(ids, dtype=np.int64)
+    if _has_repeats(id_array):
         raise ParseError(f"{path}: duplicate sample ids")
-    return Dataset(np.array(rows, dtype=np.float64), np.array(labels), np.array(ids))
+    return Dataset(
+        np.frombuffer(features, dtype=np.float64).reshape(len(ids), dim),
+        np.frombuffer(labels, dtype=np.int64),
+        id_array,
+    )
 
 
 def write_csv(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset in the format ``load_csv`` reads, at full precision."""
     path = Path(path)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "label"] + [f"f{i + 1}" for i in range(dataset.feature_dim)])
-        for i in range(len(dataset)):
-            writer.writerow(
-                [int(dataset.ids[i]), int(dataset.labels[i])]
-                + [repr(float(v)) for v in dataset.features[i]]
+        fh.write(",".join(["id", "label"] + [f"f{i + 1}" for i in range(dataset.feature_dim)]) + "\r\n")
+        for start in range(0, len(dataset), _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            fh.writelines(
+                f"{sample_id},{label},{','.join(map(repr, values))}\r\n"
+                for sample_id, label, values in zip(
+                    dataset.ids[rows].tolist(),
+                    dataset.labels[rows].tolist(),
+                    dataset.features[rows].tolist(),
+                )
             )
 
 
@@ -224,9 +250,7 @@ class FoldPartition:
             arr = np.asarray(getattr(self, name), dtype=np.int64).copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        sets = [set(self.train_ids.tolist()), set(self.val_ids.tolist()), set(self.test_ids.tolist())]
-        total = len(self.train_ids) + len(self.val_ids) + len(self.test_ids)
-        if len(sets[0] | sets[1] | sets[2]) != total:
+        if _has_repeats(np.concatenate([self.train_ids, self.val_ids, self.test_ids])):
             raise ValueError("train/val/test id sets must be pairwise disjoint")
         if len(self.train_ids) == 0 or len(self.test_ids) == 0:
             raise ValueError("train and test sets must be non-empty")
@@ -289,13 +313,14 @@ def write_partitions_csv(partitions: list[FoldPartition], path: str | Path) -> N
     """Export partitions as ``id,fold_index,split`` rows (split in train/val/test)."""
     path = Path(path)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "fold_index", "split"])
+        fh.write("id,fold_index,split\r\n")
         for part in partitions:
             for split, ids in (
                 ("train", part.train_ids),
                 ("val", part.val_ids),
                 ("test", part.test_ids),
             ):
-                for sample_id in ids:
-                    writer.writerow([int(sample_id), part.fold_index, split])
+                tail = f",{part.fold_index},{split}\r\n"
+                for start in range(0, len(ids), _CHUNK_ROWS):
+                    chunk = ids[start : start + _CHUNK_ROWS].tolist()
+                    fh.writelines(f"{sample_id}{tail}" for sample_id in chunk)

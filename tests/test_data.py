@@ -3,6 +3,7 @@ import pytest
 
 from curricula.data import (
     Dataset,
+    FoldPartition,
     ParseError,
     SynthConfig,
     class_means,
@@ -165,6 +166,50 @@ class TestCsv:
         with pytest.raises(ParseError, match="line 3"):
             load_csv(path)
 
+    def test_negative_id_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,label,f1\n0,0,1.0\n-4,1,2.0\n")
+        with pytest.raises(ParseError, match="line 3: id must be non-negative, got -4"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_feature_names_line(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"id,label,f1,f2\n0,0,1.0,2.0\n1,1,1.0,{value}\n")
+        with pytest.raises(ParseError, match="line 3: features must be finite"):
+            load_csv(path)
+
+    def test_duplicate_ids_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,label,f1\n3,0,1.0\n5,1,2.0\n3,2,3.0\n")
+        with pytest.raises(ParseError, match="duplicate sample ids"):
+            load_csv(path)
+
+    def test_first_bad_line_wins(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,label,f1\n0,0,1.0\n1,7,1.0\n2,1,1.0\n3,1\n")
+        with pytest.raises(ParseError, match="line 3: label must be"):
+            load_csv(path)
+
+    def test_id_beyond_int64_names_line(self, tmp_path):
+        big = 2**63
+        path = tmp_path / "bad.csv"
+        path.write_text(f"id,label,f1\n{big - 1},0,1.0\n{big},1,1.0\n")
+        with pytest.raises(ParseError, match=f"line 3: id must be at most {big - 1}, got {big}"):
+            load_csv(path)
+        # the line's other checks come first, and an earlier bad line still wins
+        path.write_text(f"id,label,f1\n{10**20},5,1.0\n")
+        with pytest.raises(ParseError, match="line 2: label must be"):
+            load_csv(path)
+        path.write_text(f"id,label,f1\n{10**20},0,1.0\n1,5,1.0\n")
+        with pytest.raises(ParseError, match="line 2: id must be at most"):
+            load_csv(path)
+
+    def test_largest_int64_id_loads(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text(f"id,label,f1\n{2**63 - 1},2,1.0\n")
+        assert load_csv(path).ids.tolist() == [2**63 - 1]
+
 
 def proportional_within_one(count, expected):
     return abs(count - expected) <= 1.0
@@ -232,6 +277,14 @@ class TestStratifiedKFold:
             stratified_kfold(ds, k=5, val_fraction=0.0, seed=0)
         with pytest.raises(ValueError):
             stratified_kfold(ds, k=5, val_fraction=1.0, seed=0)
+
+    def test_partition_rejects_shared_and_repeated_ids(self):
+        with pytest.raises(ValueError, match="pairwise disjoint"):
+            FoldPartition(0, train_ids=np.array([1, 2, 3]), val_ids=np.array([4]), test_ids=np.array([3, 5]))
+        with pytest.raises(ValueError, match="pairwise disjoint"):
+            FoldPartition(0, train_ids=np.array([1, 2, 2]), val_ids=np.array([4]), test_ids=np.array([5]))
+        part = FoldPartition(0, train_ids=np.array([2, 1]), val_ids=np.array([], dtype=np.int64), test_ids=[5])
+        assert part.train_ids.tolist() == [2, 1] and part.test_ids.tolist() == [5]
 
     def test_partition_export(self, tmp_path):
         ds = synth(counts=(10, 10, 10), seed=7)

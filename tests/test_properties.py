@@ -2,8 +2,14 @@
 
 ``batch_combined_loss_grad`` must be bit-equal, sample by sample, to the
 scalar ``combined_loss``/``combined_loss_grad``, and ``Dataset.subset``
-must slice exactly what a plain id->row dict lookup would.
+must slice exactly what a plain id->row dict lookup would. The CSV
+writers must write the same bytes as ``csv.writer`` row by row, and
+``stratified_kfold`` must keep its fold contract for any class counts.
 """
+
+import csv
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +17,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from curricula.data import Dataset
+from curricula.data import (
+    Dataset,
+    FoldPartition,
+    load_csv,
+    stratified_kfold,
+    write_csv,
+    write_partitions_csv,
+)
 from curricula.losses import (
     PROB_FLOOR,
     batch_combined_loss_grad,
@@ -164,3 +177,120 @@ def test_subset_names_first_missing_id_in_query_order(case, extra, data):
     first = next(v for v in mixed if v in missing)
     with pytest.raises(ValueError, match=rf"^id {first} not present in dataset$"):
         dataset.subset(np.array(mixed))
+
+
+# Values whose shortest repr is unusual: a signed zero, the smallest
+# subnormal, and exponents where repr switches to scientific notation.
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e300, -1e300, 1e-5, 123456789.0, 0.1]
+FEATURE = st.one_of(
+    st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def csv_datasets(draw):
+    n = draw(st.integers(min_value=1, max_value=30))
+    d = draw(st.integers(min_value=1, max_value=6))
+    ids = draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n, unique=True))
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    features = draw(hnp.arrays(np.float64, (n, d), elements=FEATURE))
+    return Dataset(features, np.array(labels), np.array(ids, dtype=np.int64))
+
+
+def reference_write_csv(dataset, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "label"] + [f"f{i + 1}" for i in range(dataset.feature_dim)])
+        for i in range(len(dataset)):
+            writer.writerow(
+                [int(dataset.ids[i]), int(dataset.labels[i])]
+                + [repr(float(v)) for v in dataset.features[i]]
+            )
+
+
+def reference_write_partitions_csv(partitions, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "fold_index", "split"])
+        for part in partitions:
+            for split, ids in (("train", part.train_ids), ("val", part.val_ids), ("test", part.test_ids)):
+                for sample_id in ids:
+                    writer.writerow([int(sample_id), part.fold_index, split])
+
+
+def written_bytes(writer, obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        writer(obj, path)
+        return path.read_bytes()
+
+
+@settings(deadline=None)
+@given(csv_datasets())
+def test_write_csv_matches_csv_writer_and_round_trips(dataset):
+    got = written_bytes(write_csv, dataset)
+    assert got == written_bytes(reference_write_csv, dataset)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(got)
+        loaded = load_csv(path)
+    assert loaded.ids.tobytes() == dataset.ids.tobytes()
+    assert loaded.labels.tobytes() == dataset.labels.tobytes()
+    assert loaded.features.tobytes() == dataset.features.tobytes()
+
+
+@st.composite
+def partition_lists(draw):
+    partitions = []
+    for fold_index in range(draw(st.integers(min_value=1, max_value=4))):
+        ids = draw(st.lists(st.integers(0, 2**63 - 1), min_size=2, max_size=40, unique=True))
+        n_train = draw(st.integers(1, len(ids) - 1))
+        n_val = draw(st.integers(0, len(ids) - n_train - 1))
+        partitions.append(
+            FoldPartition(
+                fold_index=fold_index,
+                train_ids=np.array(ids[:n_train]),
+                val_ids=np.array(ids[n_train : n_train + n_val], dtype=np.int64),
+                test_ids=np.array(ids[n_train + n_val :]),
+            )
+        )
+    return partitions
+
+
+@settings(deadline=None)
+@given(partition_lists())
+def test_write_partitions_csv_matches_csv_writer(partitions):
+    assert written_bytes(write_partitions_csv, partitions) == written_bytes(
+        reference_write_partitions_csv, partitions
+    )
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=2, max_value=7),
+    st.lists(st.integers(0, 40), min_size=3, max_size=3),
+    st.floats(min_value=0.01, max_value=0.45),  # from 0.5 up, train can be empty
+    st.integers(0, 2**32 - 1),
+    st.randoms(use_true_random=False),
+)
+def test_fold_contract(k, extra, val_fraction, seed, rnd):
+    counts = [k + e for e in extra]
+    labels = [c for c in range(3) for _ in range(counts[c])]
+    ids = rnd.sample(range(10**6), len(labels))  # unsorted, not 0..n-1
+    dataset = Dataset(np.zeros((len(labels), 1)), np.array(labels), np.array(ids))
+    partitions = stratified_kfold(dataset, k=k, val_fraction=val_fraction, seed=seed)
+    assert [p.fold_index for p in partitions] == list(range(k))
+    label_of = dict(zip(ids, labels))
+    tested = []
+    for part in partitions:
+        splits = [part.train_ids.tolist(), part.val_ids.tolist(), part.test_ids.tolist()]
+        joined = [i for split in splits for i in split]
+        assert sorted(joined) == sorted(ids)  # disjoint and covering
+        tested += splits[2]
+        for c in range(3):
+            train_c, val_c, test_c = (sum(label_of[i] == c for i in split) for split in splits)
+            assert abs(test_c - counts[c] / k) <= 1
+            remaining = counts[c] - test_c
+            assert abs(val_c - val_fraction * remaining) <= 1
+            assert abs(train_c - (1 - val_fraction) * remaining) <= 1
+    assert sorted(tested) == sorted(ids)

@@ -1,19 +1,24 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from curricula import cli
+from curricula.data import SynthConfig
 from curricula.harness import (
     Arm,
     ConfigError,
+    ExperimentConfig,
     ExperimentError,
     child_seed,
     parse_config,
     render_report,
+    resolved_synth,
     run_experiment,
 )
-from curricula.scheduler import KINDS
+from curricula.model import TrainConfig
+from curricula.scheduler import KINDS, SchedulerSpec, default_switch_epoch
 
 SMALL_CONFIG = """\
 seed: 5
@@ -214,6 +219,59 @@ class TestParseConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):
             parse_config(tmp_path / "nope.yaml")
+
+    def test_omitted_keys_take_the_dataclass_defaults(self, tmp_path):
+        path = write_config(
+            tmp_path, "data:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: exponential}\n"
+        )
+        config = parse_config(path)
+        for cls, parsed, skip in (
+            (ExperimentConfig, config, {"synth", "echo"}),  # the file sets these two
+            (TrainConfig, config.train, set()),
+            (SynthConfig, config.synth, set()),
+            (SchedulerSpec, config.arms[0].spec, set()),
+        ):
+            defaulted = [f for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING]
+            assert defaulted, cls
+            for f in defaulted:
+                if f.name not in skip:
+                    assert getattr(parsed, f.name) == f.default, f"{cls.__name__}.{f.name}"
+        # the computed defaults
+        spec = config.arms[0].spec
+        assert spec.total_epochs == config.train.epochs
+        assert spec.switch_epoch == default_switch_epoch(spec.total_epochs)
+        assert config.arms[0].name == "exponential"
+
+    def test_null_synthetic_seed_is_derived(self, tmp_path):
+        base = "seed: 3\ndata:\n  synthetic:\n    counts: [10, 10, 10]\n{}arms:\n  - {{kind: step}}\n"
+        config = parse_config(write_config(tmp_path, base.format("    seed: null\n"), "null.yaml"))
+        assert config.synth.seed is None
+        assert resolved_synth(config).seed == child_seed(3, "data")
+        omitted = parse_config(write_config(tmp_path, base.format(""), "omitted.yaml"))
+        assert resolved_synth(config) == resolved_synth(omitted)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "out_dir: 3\ndata:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: step}\n",
+                "out_dir must be a path string, got 3",
+            ),
+            ("data: {}\narms:\n  - {kind: step}\n", "data: needs 'synthetic' or 'csv'"),
+            (
+                "data:\n  synthetic:\n    counts: [10, 10, 10]\ntrain: []\narms:\n  - {kind: step}\n",
+                "train must be a mapping, got list",
+            ),
+            (
+                "data:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: exponential, epsilon: 0}\n",
+                "arms[0]: exp_floor must lie in (0, 1), got 0.0",
+            ),
+        ],
+    )
+    def test_edge_inputs_fail_with_exact_message(self, tmp_path, text, message):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(write_config(tmp_path, text))
+        assert str(excinfo.value) == message
 
 
 class TestRunExperiment:

@@ -62,23 +62,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run the full (arms x folds) experiment and write the report")
-    run.add_argument("--config", required=True, help="path to the YAML experiment config")
-    run.add_argument("--out", help="output directory (overrides CURRICULA_OUT and the config)")
-    run.add_argument("--seed", type=int, help="override the master seed")
-    run.set_defaults(func=_cmd_run)
-
-    gen = sub.add_parser("gen-data", help="generate the synthetic dataset as CSV")
-    gen.add_argument("--config", required=True, help="path to the YAML experiment config")
-    gen.add_argument("--out", required=True, help="output CSV path")
-    gen.add_argument("--seed", type=int, help="override the master seed")
-    gen.set_defaults(func=_cmd_gen_data)
-
-    folds = sub.add_parser("folds", help="export the cross-validation partitions as CSV")
-    folds.add_argument("--config", required=True, help="path to the YAML experiment config")
-    folds.add_argument("--out", required=True, help="output CSV path")
-    folds.add_argument("--seed", type=int, help="override the master seed")
-    folds.set_defaults(func=_cmd_folds)
+    for name, func, help_text, out_help in (
+        ("run", _cmd_run, "run the full (arms x folds) experiment and write the report",
+         "output directory (overrides CURRICULA_OUT and the config)"),
+        ("gen-data", _cmd_gen_data, "generate the synthetic dataset as CSV", "output CSV path"),
+        ("folds", _cmd_folds, "export the cross-validation partitions as CSV", "output CSV path"),
+    ):
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.add_argument("--config", required=True, help="path to the YAML experiment config")
+        cmd.add_argument("--out", required=name != "run", help=out_help)
+        cmd.add_argument("--seed", type=int, help="override the master seed")
+        cmd.set_defaults(func=func)
 
     return parser
 

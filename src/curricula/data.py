@@ -26,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-_CLASSES = (0, 1, 2)
+#: The fine labels; every module takes the class set from here.
+CLASSES = (0, 1, 2)
 _MAX_ID = np.iinfo(np.int64).max
 # Rows converted to Python numbers at a time by the CSV writers: large enough
 # to amortise the numpy calls, small enough to keep the lists out of peak memory.
@@ -71,7 +72,7 @@ class Dataset:
             raise ValueError("features, labels, and ids must have matching lengths")
         if not np.all(np.isfinite(features)):
             raise ValueError("features must be finite")
-        if not np.isin(labels, _CLASSES).all():
+        if not np.isin(labels, CLASSES).all():
             raise ValueError("labels must be 0, 1, or 2")
         if (ids < 0).any():
             raise ValueError("ids must be non-negative")
@@ -91,8 +92,7 @@ class Dataset:
         return self.features.shape[1]
 
     def class_counts(self) -> tuple[int, int, int]:
-        counts = np.bincount(self.labels, minlength=3)
-        return int(counts[0]), int(counts[1]), int(counts[2])
+        return tuple(np.bincount(self.labels, minlength=len(CLASSES)).tolist())
 
     def subset(self, ids: np.ndarray) -> "Dataset":
         """The sub-dataset holding exactly the given ids, in the given order."""
@@ -161,14 +161,10 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
     rng = np.random.default_rng(config.seed)
     means = class_means(config)
     blocks = []
-    labels = []
     for c, n_c in enumerate(config.counts):
         blocks.append(means[c] + config.noise * rng.standard_normal((n_c, config.feature_dim)))
-        labels.append(np.full(n_c, c, dtype=np.int64))
-    features = np.vstack(blocks)
-    labels = np.concatenate(labels)
-    ids = np.arange(features.shape[0], dtype=np.int64)
-    return Dataset(features, labels, ids)
+    labels = np.repeat(np.arange(len(CLASSES)), config.counts)
+    return Dataset(np.vstack(blocks), labels, np.arange(len(labels)))
 
 
 def load_csv(path: str | Path) -> Dataset:
@@ -195,7 +191,7 @@ def load_csv(path: str | Path) -> Dataset:
                 values = [float(v) for v in row[2:]]
             except ValueError as e:
                 raise ParseError(f"{path}: line {lineno}: {e}") from None
-            if label not in _CLASSES:
+            if label not in CLASSES:
                 raise ParseError(f"{path}: line {lineno}: label must be 0, 1, or 2, got {label}")
             if sample_id < 0:
                 raise ParseError(f"{path}: line {lineno}: id must be non-negative, got {sample_id}")
@@ -267,14 +263,15 @@ def stratified_kfold(
     the remaining ids of each class are reshuffled (generator seeded by
     ``[seed, i]``) and split val/train at ``val_fraction``, rounded to the
     nearest integer per class. All per-class counts therefore stay within
-    one sample of exact proportionality.
+    one sample of exact proportionality. Raises ``ValueError`` if that
+    split would leave a class with no training sample in some partition.
     """
     if k < 2:
         raise ValueError(f"fold count must be at least 2, got {k}")
     if not (0.0 < val_fraction < 1.0):
         raise ValueError(f"val_fraction must lie in (0, 1), got {val_fraction}")
     counts = dataset.class_counts()
-    for c in _CLASSES:
+    for c in CLASSES:
         if counts[c] < k:
             raise ValueError(
                 f"class {c} has {counts[c]} samples; need at least k={k} for stratified folds"
@@ -282,7 +279,7 @@ def stratified_kfold(
 
     rng = np.random.default_rng(seed)
     folds_by_class: list[list[np.ndarray]] = []
-    for c in _CLASSES:
+    for c in CLASSES:
         class_ids = dataset.ids[dataset.labels == c]
         perm = rng.permutation(class_ids)
         folds_by_class.append([perm[j::k] for j in range(k)])
@@ -291,11 +288,15 @@ def stratified_kfold(
     for i in range(k):
         split_rng = np.random.default_rng([seed, i])
         test_parts, val_parts, train_parts = [], [], []
-        for c in _CLASSES:
+        for c in CLASSES:
             test_parts.append(folds_by_class[c][i])
             remaining = np.concatenate([folds_by_class[c][j] for j in range(k) if j != i])
             remaining = split_rng.permutation(remaining)
             n_val = int(val_fraction * len(remaining) + 0.5)
+            if n_val == len(remaining):
+                raise ValueError(
+                    f"k={k} and val_fraction={val_fraction} leave class {c} no training samples in fold {i}"
+                )
             val_parts.append(remaining[:n_val])
             train_parts.append(remaining[n_val:])
         partitions.append(

@@ -85,32 +85,109 @@ class ExperimentConfig:
                 )
 
 
-def _require_mapping(value, where: str) -> dict:
+def _int(value, name: str) -> int:
+    if type(value) is not int:  # bool is a subclass of int
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _float(value, name: str) -> float:
+    if type(value) not in (int, float):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
+def _ints(value, name: str, three: bool = False) -> tuple[int, ...]:
+    if not isinstance(value, list) or any(type(v) is not int for v in value) or (three and len(value) != 3):
+        raise ConfigError(f"{name} must be a list of {'three ' if three else ''}integers, got {value!r}")
+    return tuple(value)
+
+
+def _path(value, name: str) -> Path:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a path string, got {value!r}")
+    return Path(value)
+
+
+def _build(cls, fields: dict, where: str):
+    """``cls(**fields)``, its ``ValueError`` re-raised as a ``ConfigError`` naming ``where``."""
+    try:
+        return cls(**fields)
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}") from None
+
+
+# Each section's keys, mapped to the dataclass field a key sets and the check
+# that turns its value into the field's. A key the file leaves out is not
+# passed on, so the dataclasses hold every default.
+_CONFIG_KEYS = {
+    "out_dir": ("out_dir", lambda value, _: _path(value, "out_dir")),  # named without "config."
+    "k": ("k", _int),
+    "val_fraction": ("val_fraction", _float),
+    "seed": ("seed", _int),
+}
+_DATA_KEYS = {
+    "synthetic": (
+        "synth", lambda value, name: _build(SynthConfig, _read(value, name, _SYNTH_KEYS, "counts"), name)
+    ),
+    "csv": ("csv_path", _path),
+}
+_SYNTH_KEYS = {
+    "counts": ("counts", lambda value, name: _ints(value, name, three=True)),
+    "seed": ("seed", lambda value, name: None if value is None else _int(value, name)),  # None: derived
+    "feature_dim": ("feature_dim", _int),
+    "separation": ("separation", _float),
+    "overlap": ("overlap", _float),
+    "noise": ("noise", _float),
+}
+_TRAIN_KEYS = {
+    "hidden_sizes": ("hidden_sizes", _ints),
+    "learning_rate": ("learning_rate", _float),
+    "epochs": ("epochs", _int),
+    "batch_size": ("batch_size", _int),
+}
+_ARM_KEYS = {
+    "kind": ("kind", lambda value, _: value),
+    "E": ("total_epochs", _int),
+    "L": ("switch_epoch", _int),
+    "epsilon": ("exp_floor", _float),
+    "name": ("name", lambda value, _: value),
+}
+
+
+def _require_mapping(value, where: str, allowed) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be a mapping, got {type(value).__name__}")
-    return value
-
-
-def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(section) - allowed)
+    unknown = sorted(set(value) - set(allowed))
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}; allowed keys are {sorted(allowed)}")
-
-
-def _get_int(section: dict, key: str, default: int, where: str) -> int:
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
     return value
 
 
-def _get_float(section: dict, key: str, default: float, where: str) -> float:
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
-    return float(value)
+def _pick(raw: dict, where: str, keys: dict) -> dict:
+    """The checked values of the keys ``raw`` sets, by field name."""
+    return {field: check(raw[key], f"{where}.{key}") for key, (field, check) in keys.items() if key in raw}
+
+
+def _read(section, where: str, keys: dict, required: str | None = None) -> dict:
+    """``_pick`` of a mapping that holds only ``keys``, ``required`` among them."""
+    section = _require_mapping(section, where, keys)
+    if required is not None and required not in section:
+        raise ConfigError(f"{where}: missing required key {required!r}")
+    return _pick(section, where, keys)
+
+
+def _arm(value, where: str, epochs: int) -> Arm:
+    fields = _read(value, where, _ARM_KEYS, "kind")
+    name = fields.pop("name", fields["kind"])
+    fields.setdefault("total_epochs", epochs)
+    fields.setdefault("switch_epoch", default_switch_epoch(fields["total_epochs"]))
+    spec = _build(SchedulerSpec, fields, where)
+    if not isinstance(name, str) or not name:
+        raise ConfigError(f"{where}.name must be a non-empty string, got {name!r}")
+    return Arm(name=name, spec=spec)
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -120,110 +197,26 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"config file {path} does not exist")
     with path.open() as fh:
         raw = yaml.safe_load(fh)
-    raw = _require_mapping(raw, "config")
-    _reject_unknown(raw, {"data", "train", "arms", "k", "val_fraction", "seed", "out_dir"}, "config")
+    raw = _require_mapping(raw, "config", {"data", "train", "arms", *_CONFIG_KEYS})
 
     if "data" not in raw:
         raise ConfigError("config: missing required section 'data'")
-    data = _require_mapping(raw["data"], "data")
-    _reject_unknown(data, {"synthetic", "csv"}, "data")
-
-    synth = None
-    csv_path = None
-    if "synthetic" in data and "csv" in data:
+    data = _require_mapping(raw["data"], "data", _DATA_KEYS)
+    if len(data) > 1:
         raise ConfigError("data: give either 'synthetic' or 'csv', not both")
-    if "synthetic" in data:
-        s = _require_mapping(data["synthetic"], "data.synthetic")
-        _reject_unknown(s, {"counts", "feature_dim", "separation", "overlap", "noise", "seed"}, "data.synthetic")
-        if "counts" not in s:
-            raise ConfigError("data.synthetic: missing required key 'counts'")
-        counts = s["counts"]
-        if (
-            not isinstance(counts, (list, tuple))
-            or len(counts) != 3
-            or any(isinstance(c, bool) or not isinstance(c, int) for c in counts)
-        ):
-            raise ConfigError(f"data.synthetic.counts must be a list of three integers, got {counts!r}")
-        seed = s.get("seed")
-        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-            raise ConfigError(f"data.synthetic.seed must be an integer, got {seed!r}")
-        try:
-            synth = SynthConfig(
-                counts=tuple(counts),
-                feature_dim=_get_int(s, "feature_dim", 2, "data.synthetic"),
-                separation=_get_float(s, "separation", 3.0, "data.synthetic"),
-                overlap=_get_float(s, "overlap", 0.25, "data.synthetic"),
-                noise=_get_float(s, "noise", 1.0, "data.synthetic"),
-                seed=seed,
-            )
-        except ValueError as e:
-            raise ConfigError(f"data.synthetic: {e}") from None
-    elif "csv" in data:
-        if not isinstance(data["csv"], str):
-            raise ConfigError(f"data.csv must be a path string, got {data['csv']!r}")
-        csv_path = Path(data["csv"])
-    else:
+    if not data:
         raise ConfigError("data: needs 'synthetic' or 'csv'")
+    source = _pick(data, "data", _DATA_KEYS)
 
-    train_raw = _require_mapping(raw.get("train", {}), "train")
-    _reject_unknown(train_raw, {"learning_rate", "epochs", "batch_size", "hidden_sizes"}, "train")
-    hidden = train_raw.get("hidden_sizes", [16])
-    if not isinstance(hidden, list) or any(isinstance(h, bool) or not isinstance(h, int) for h in hidden):
-        raise ConfigError(f"train.hidden_sizes must be a list of integers, got {hidden!r}")
-    try:
-        train = TrainConfig(
-            learning_rate=_get_float(train_raw, "learning_rate", 0.05, "train"),
-            epochs=_get_int(train_raw, "epochs", 100, "train"),
-            batch_size=_get_int(train_raw, "batch_size", 32, "train"),
-            hidden_sizes=tuple(hidden),
-        )
-    except ValueError as e:
-        raise ConfigError(f"train: {e}") from None
+    train = _build(TrainConfig, _read(raw.get("train", {}), "train", _TRAIN_KEYS), "train")
 
     if "arms" not in raw:
         raise ConfigError("config: missing required section 'arms'")
-    arms_raw = raw["arms"]
-    if not isinstance(arms_raw, list) or not arms_raw:
+    if not isinstance(raw["arms"], list) or not raw["arms"]:
         raise ConfigError("arms must be a non-empty list")
-    arms = []
-    for i, arm_raw in enumerate(arms_raw):
-        where = f"arms[{i}]"
-        arm_raw = _require_mapping(arm_raw, where)
-        _reject_unknown(arm_raw, {"kind", "L", "E", "epsilon", "name"}, where)
-        if "kind" not in arm_raw:
-            raise ConfigError(f"{where}: missing required key 'kind'")
-        kind = arm_raw["kind"]
-        total = _get_int(arm_raw, "E", train.epochs, where)
-        switch = _get_int(arm_raw, "L", default_switch_epoch(total), where)
-        try:
-            spec = SchedulerSpec(
-                kind=kind,
-                switch_epoch=switch,
-                total_epochs=total,
-                exp_floor=_get_float(arm_raw, "epsilon", 1e-3, where),
-            )
-        except ValueError as e:
-            raise ConfigError(f"{where}: {e}") from None
-        name = arm_raw.get("name", kind)
-        if not isinstance(name, str) or not name:
-            raise ConfigError(f"{where}.name must be a non-empty string, got {name!r}")
-        arms.append(Arm(name=name, spec=spec))
+    arms = tuple(_arm(arm, f"arms[{i}]", train.epochs) for i, arm in enumerate(raw["arms"]))
 
-    out_dir = raw.get("out_dir", "out")
-    if not isinstance(out_dir, str):
-        raise ConfigError(f"out_dir must be a path string, got {out_dir!r}")
-
-    return ExperimentConfig(
-        train=train,
-        arms=tuple(arms),
-        synth=synth,
-        csv_path=csv_path,
-        k=_get_int(raw, "k", 5, "config"),
-        val_fraction=_get_float(raw, "val_fraction", 0.2, "config"),
-        seed=_get_int(raw, "seed", 0, "config"),
-        out_dir=Path(out_dir),
-        echo=raw,
-    )
+    return ExperimentConfig(train=train, arms=arms, **source, **_pick(raw, "config", _CONFIG_KEYS), echo=raw)
 
 
 def resolved_synth(config: ExperimentConfig) -> SynthConfig:

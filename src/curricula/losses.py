@@ -20,14 +20,14 @@ import math
 
 import numpy as np
 
+from .data import CLASSES
+
 #: Probabilities are clamped to this floor (and 1 minus it) inside log terms.
 PROB_FLOOR = 1e-12
 
-_FINE_LABELS = (0, 1, 2)
-
 
 def _check_fine_label(y: int) -> int:
-    if isinstance(y, bool) or int(y) != y or int(y) not in _FINE_LABELS:
+    if isinstance(y, bool) or int(y) != y or int(y) not in CLASSES:
         raise ValueError(f"fine label must be 0, 1, or 2, got {y!r}")
     return int(y)
 
@@ -132,7 +132,7 @@ def _check_fine_labels(labels: np.ndarray) -> np.ndarray:
         ok = labels.size == 0 or (labels.min() >= 0 and labels.max() <= 2)
     else:
         # Floats (1.5 must fail) and bools keep the exact membership test.
-        ok = np.isin(labels, _FINE_LABELS).all()
+        ok = np.isin(labels, CLASSES).all()
     if not ok:
         raise ValueError("labels must be 0, 1, or 2")
     return labels.astype(np.int64, copy=False)

@@ -13,7 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_CLASSES = (0, 1, 2)
+from .data import CLASSES
+
+#: Column order used in reports and CSV files.
+METRIC_NAMES = ("accuracy", "balanced_accuracy", "average_auc", "binary_accuracy", "binary_auc")
 
 
 @dataclass(frozen=True)
@@ -26,16 +29,12 @@ class MetricsReport:
     n_samples: int
 
     def __post_init__(self) -> None:
-        for name in ("accuracy", "balanced_accuracy", "average_auc", "binary_accuracy", "binary_auc"):
+        for name in METRIC_NAMES:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be positive, got {self.n_samples}")
-
-
-#: Column order used in reports and CSV files.
-METRIC_NAMES = ("accuracy", "balanced_accuracy", "average_auc", "binary_accuracy", "binary_auc")
 
 
 def _check_inputs(probs, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -49,7 +48,7 @@ def _check_inputs(probs, labels) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need at least one sample")
     if not np.all(np.isfinite(p)):
         raise ValueError("probabilities must be finite")
-    if not np.isin(y, _CLASSES).all():
+    if not np.isin(y, CLASSES).all():
         raise ValueError("labels must be 0, 1, or 2")
     return p, y
 
@@ -76,7 +75,7 @@ def mean_recall(pred_labels: np.ndarray, true_labels: np.ndarray) -> float:
 def balanced_accuracy(probs, labels) -> float:
     """Unweighted mean of the three per-class recalls; every class must be present."""
     p, y = _check_inputs(probs, labels)
-    for c in _CLASSES:
+    for c in CLASSES:
         if not (y == c).any():
             raise ValueError(f"class {c} is absent from labels")
     return mean_recall(np.argmax(p, axis=1), y)
@@ -113,7 +112,7 @@ def average_auc(probs, labels) -> float:
     """Macro one-vs-rest AUC: mean over classes of AUC(p[:, c], y == c)."""
     p, y = _check_inputs(probs, labels)
     aucs = []
-    for c in _CLASSES:
+    for c in CLASSES:
         target = (y == c).astype(np.int64)
         if target.sum() == 0:
             raise ValueError(f"class {c} is absent from labels")

@@ -10,15 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset
+from .data import CLASSES, Dataset
 from .losses import batch_combined_loss_grad, softmax
 from .metrics import mean_recall
-
-N_CLASSES = 3
 
 
 @dataclass(frozen=True)
@@ -59,8 +56,8 @@ class ModelParams:
             raise ValueError("layer_sizes needs at least an input and an output layer")
         if any(s < 1 for s in sizes):
             raise ValueError(f"layer sizes must be positive, got {sizes}")
-        if sizes[-1] != N_CLASSES:
-            raise ValueError(f"final layer must have width {N_CLASSES}, got {sizes[-1]}")
+        if sizes[-1] != len(CLASSES):
+            raise ValueError(f"final layer must have width {len(CLASSES)}, got {sizes[-1]}")
         n_layers = len(sizes) - 1
         if len(self.weights) != n_layers or len(self.biases) != n_layers:
             raise ValueError("weights/biases must hold one entry per layer")
@@ -143,11 +140,11 @@ def train_epoch(
     lam: float,
     config: TrainConfig,
     rng: np.random.Generator,
-) -> tuple[ModelParams, float]:
+) -> float:
     """One shuffled pass of minibatch SGD at curriculum weight ``lam``.
 
-    Updates ``params`` in place and returns it with the mean per-sample
-    blended loss over the epoch.
+    Updates ``params`` in place and returns the mean per-sample blended
+    loss over the epoch.
     """
     n = len(train_set)
     if n == 0:
@@ -167,7 +164,7 @@ def train_epoch(
         for w, b, dw, db in zip(params.weights, params.biases, weight_grads, bias_grads):
             w -= config.learning_rate * dw
             b -= config.learning_rate * db
-    return params, total_loss / n
+    return total_loss / n
 
 
 @dataclass
@@ -211,10 +208,9 @@ def train(
     epoch_losses: list[float] = []
     val_scores: list[float] = []
     for epoch, lam in enumerate(lambdas):
-        _, mean_loss = train_epoch(params, train_set, lam, config, rng)
+        epoch_losses.append(train_epoch(params, train_set, lam, config, rng))
         probs = predict_proba_batch(params, val_set.features)
         score = mean_recall(np.argmax(probs, axis=1), val_set.labels)
-        epoch_losses.append(mean_loss)
         val_scores.append(score)
         if score > best_score:
             best_score = score
@@ -228,48 +224,3 @@ def train(
         val_scores=val_scores,
     )
 
-
-def save_params(params: ModelParams, path: str | Path) -> None:
-    """Write parameters as text: sizes header, then per layer the weight
-    matrix rows (row-major) followed by the bias vector, full precision."""
-    path = Path(path)
-    lines = [" ".join(str(s) for s in params.layer_sizes)]
-    for w, b in zip(params.weights, params.biases):
-        for row in w:
-            lines.append(" ".join(repr(float(v)) for v in row))
-        lines.append(" ".join(repr(float(v)) for v in b))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def load_params(path: str | Path) -> ModelParams:
-    """Read parameters written by ``save_params``; exact round trip."""
-    path = Path(path)
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty parameter file")
-    try:
-        sizes = tuple(int(s) for s in lines[0].split())
-    except ValueError:
-        raise ValueError(f"{path}: malformed size header {lines[0]!r}") from None
-    weights, biases = [], []
-    pos = 1
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        rows = []
-        for _ in range(fan_out):
-            if pos >= len(lines):
-                raise ValueError(f"{path}: truncated parameter file")
-            rows.append([float(v) for v in lines[pos].split()])
-            pos += 1
-        if pos >= len(lines):
-            raise ValueError(f"{path}: truncated parameter file")
-        bias = [float(v) for v in lines[pos].split()]
-        pos += 1
-        w = np.array(rows, dtype=np.float64)
-        b = np.array(bias, dtype=np.float64)
-        if w.shape != (fan_out, fan_in) or b.shape != (fan_out,):
-            raise ValueError(f"{path}: layer shape mismatch against header")
-        weights.append(w)
-        biases.append(b)
-    if pos != len(lines):
-        raise ValueError(f"{path}: trailing data after parameters")
-    return ModelParams(sizes, weights, biases)

@@ -269,6 +269,17 @@ class TestStratifiedKFold:
         with pytest.raises(ValueError, match="class 0"):
             stratified_kfold(ds, k=5, seed=0)
 
+    def test_class_left_without_training_samples_rejected(self):
+        # k=2 leaves class 0 one non-test id per fold; val_fraction 0.5 rounds it into validation
+        for counts in ((2, 10, 10), (2, 2, 2)):
+            ds = synth(counts=counts, seed=5)
+            with pytest.raises(ValueError, match=r"k=2 and val_fraction=0\.5 leave class 0 no training samples"):
+                stratified_kfold(ds, k=2, val_fraction=0.5, seed=0)
+        # just below one half, that id stays in training
+        ds = synth(counts=(2, 10, 10), seed=5)
+        for part in stratified_kfold(ds, k=2, val_fraction=0.49, seed=0):
+            assert ds.subset(part.train_ids).class_counts()[0] == 1
+
     def test_parameter_validation(self):
         ds = synth(counts=(10, 10, 10), seed=6)
         with pytest.raises(ValueError):

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from curricula.data import Dataset, SynthConfig, generate_synthetic
-from curricula.losses import batch_combined_loss_grad, combined_loss_grad
+from curricula.losses import batch_combined_loss_grad, combined_loss, combined_loss_grad, softmax
 from curricula.metrics import accuracy
 from curricula.model import (
     ModelParams,
     TrainConfig,
     init,
-    load_params,
     predict_proba_batch,
-    save_params,
     train,
     train_epoch,
 )
@@ -108,7 +106,9 @@ def test_single_sample_step_is_sgd():
     b_before = params.biases[0].copy()
     config = TrainConfig(learning_rate=0.1, epochs=1, batch_size=1, hidden_sizes=())
     grad = combined_loss_grad(w_before @ x + b_before, 2, 0.4)
-    train_epoch(params, dataset, 0.4, config, np.random.default_rng(0))
+    mean_loss = train_epoch(params, dataset, 0.4, config, np.random.default_rng(0))
+    # the loss is taken before the step, at the initial parameters
+    assert mean_loss == pytest.approx(combined_loss(softmax(w_before @ x + b_before), 2, 0.4), rel=1e-12)
     np.testing.assert_allclose(params.weights[0], w_before - 0.1 * np.outer(grad, x), atol=1e-14)
     np.testing.assert_allclose(params.biases[0], b_before - 0.1 * grad, atol=1e-14)
 
@@ -157,8 +157,6 @@ def test_backprop_matches_finite_differences():
 
 def hard_only_epoch(params, dataset, config, rng):
     """A hard-loss-only SGD epoch written out without the blended loss."""
-    from curricula.losses import softmax
-
     n = len(dataset)
     order = rng.permutation(n)
     for start in range(0, n, config.batch_size):
@@ -258,25 +256,3 @@ def test_train_rejects_mismatched_lambdas_and_empty_val():
     with pytest.raises(ValueError):
         train(params, dataset, dataset, [0.0] * 3, config, np.random.default_rng(0))
 
-
-def test_save_load_round_trip(tmp_path):
-    params = init([4, 7, 3], seed=15)
-    params.biases[0] += 0.125
-    path = tmp_path / "params.txt"
-    save_params(params, path)
-    loaded = load_params(path)
-    assert loaded.layer_sizes == params.layer_sizes
-    for w_a, w_b in zip(loaded.weights, params.weights):
-        np.testing.assert_array_equal(w_a, w_b)
-    for b_a, b_b in zip(loaded.biases, params.biases):
-        np.testing.assert_array_equal(b_a, b_b)
-
-
-def test_load_rejects_malformed_files(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("")
-    with pytest.raises(ValueError):
-        load_params(path)
-    path.write_text("2 3\n1.0 2.0\n")
-    with pytest.raises(ValueError):
-        load_params(path)

@@ -269,7 +269,7 @@ def test_write_partitions_csv_matches_csv_writer(partitions):
 @given(
     st.integers(min_value=2, max_value=7),
     st.lists(st.integers(0, 40), min_size=3, max_size=3),
-    st.floats(min_value=0.01, max_value=0.45),  # from 0.5 up, train can be empty
+    st.floats(min_value=0.01, max_value=0.99),
     st.integers(0, 2**32 - 1),
     st.randoms(use_true_random=False),
 )
@@ -278,6 +278,13 @@ def test_fold_contract(k, extra, val_fraction, seed, rnd):
     labels = [c for c in range(3) for _ in range(counts[c])]
     ids = rnd.sample(range(10**6), len(labels))  # unsorted, not 0..n-1
     dataset = Dataset(np.zeros((len(labels), 1)), np.array(labels), np.array(ids))
+    # A class has the fewest non-test samples in a fold where its test share is
+    # largest, ceil(n / k). Validation takes round(val_fraction * remaining) of them.
+    fewest = [n - -(-n // k) for n in counts]
+    if any(int(val_fraction * r + 0.5) >= r for r in fewest):
+        with pytest.raises(ValueError, match=rf"k={k} and val_fraction={val_fraction} leave class \d no training"):
+            stratified_kfold(dataset, k=k, val_fraction=val_fraction, seed=seed)
+        return
     partitions = stratified_kfold(dataset, k=k, val_fraction=val_fraction, seed=seed)
     assert [p.fold_index for p in partitions] == list(range(k))
     label_of = dict(zip(ids, labels))
@@ -289,6 +296,7 @@ def test_fold_contract(k, extra, val_fraction, seed, rnd):
         tested += splits[2]
         for c in range(3):
             train_c, val_c, test_c = (sum(label_of[i] == c for i in split) for split in splits)
+            assert train_c >= 1
             assert abs(test_c - counts[c] / k) <= 1
             remaining = counts[c] - test_c
             assert abs(val_c - val_fraction * remaining) <= 1

@@ -114,45 +114,49 @@ def test_single_sample_step_is_sgd():
 
 
 def test_backprop_matches_finite_differences():
+    from curricula.model import _backward, _forward
+
     rng = np.random.default_rng(3)
-    config = TrainConfig(learning_rate=0.05, epochs=1, batch_size=8, hidden_sizes=(4,))
-    for _ in range(30):
-        params = init([3, 4, 3], seed=int(rng.integers(10_000)))
-        x = rng.normal(size=(5, 3))
-        y = rng.integers(3, size=5)
-        lam = float(rng.uniform())
+    # the second net's two hidden layers exercise the rectifier mask past the first layer
+    for sizes in ([3, 4, 3], [3, 5, 4, 3]):
+        for _ in range(30):
+            params = init(sizes, seed=int(rng.integers(10_000)))
+            # Zero biases would put a sample whose first hidden layer is all
+            # off exactly on the next layer's kink, where differences are one-sided.
+            for b in params.biases:
+                b += rng.normal(scale=0.5, size=b.size)
+            x = rng.normal(size=(5, 3))
+            y = rng.integers(3, size=5)
+            lam = float(rng.uniform())
 
-        from curricula.model import _backward, _forward
+            scores, pre_acts, activations = _forward(params, x)
+            _, grads = batch_combined_loss_grad(scores, y, lam)
+            weight_grads, bias_grads = _backward(params, grads / len(y), pre_acts, activations)
 
-        scores, pre_acts, activations = _forward(params, x)
-        _, grads = batch_combined_loss_grad(scores, y, lam)
-        weight_grads, bias_grads = _backward(params, grads / len(y), pre_acts, activations)
-
-        step = 1e-6
-        for l, (w, dw) in enumerate(zip(params.weights, weight_grads)):
-            flat_idx = rng.integers(w.size, size=4)
-            for idx in flat_idx:
-                i, j = np.unravel_index(idx, w.shape)
-                orig = w[i, j]
-                w[i, j] = orig + step
-                up = batch_loss(params, x, y, lam)
-                w[i, j] = orig - step
-                down = batch_loss(params, x, y, lam)
-                w[i, j] = orig
-                fd = (up - down) / (2 * step)
-                denom = max(abs(fd), abs(dw[i, j]), 1e-8)
-                assert abs(fd - dw[i, j]) / denom < 1e-4
-        for l, (b, db) in enumerate(zip(params.biases, bias_grads)):
-            for i in range(b.size):
-                orig = b[i]
-                b[i] = orig + step
-                up = batch_loss(params, x, y, lam)
-                b[i] = orig - step
-                down = batch_loss(params, x, y, lam)
-                b[i] = orig
-                fd = (up - down) / (2 * step)
-                denom = max(abs(fd), abs(db[i]), 1e-8)
-                assert abs(fd - db[i]) / denom < 1e-4
+            step = 1e-6
+            for w, dw in zip(params.weights, weight_grads):
+                for idx in rng.integers(w.size, size=4):
+                    i, j = np.unravel_index(idx, w.shape)
+                    orig = w[i, j]
+                    w[i, j] = orig + step
+                    up = batch_loss(params, x, y, lam)
+                    w[i, j] = orig - step
+                    down = batch_loss(params, x, y, lam)
+                    w[i, j] = orig
+                    fd = (up - down) / (2 * step)
+                    denom = max(abs(fd), abs(dw[i, j]), 1e-8)
+                    assert abs(fd - dw[i, j]) / denom < 1e-4
+            for b, db in zip(params.biases, bias_grads):
+                for i in range(b.size):
+                    orig = b[i]
+                    b[i] = orig + step
+                    up = batch_loss(params, x, y, lam)
+                    b[i] = orig - step
+                    down = batch_loss(params, x, y, lam)
+                    b[i] = orig
+                    fd = (up - down) / (2 * step)
+                    denom = max(abs(fd), abs(db[i]), 1e-8)
+                    assert abs(fd - db[i]) / denom < 1e-4
 
 
 def hard_only_epoch(params, dataset, config, rng):
@@ -188,19 +192,25 @@ def hard_only_epoch(params, dataset, config, rng):
 def test_zero_weight_training_equals_plain_cross_entropy():
     rng = np.random.default_rng(4)
     dataset = tiny_dataset(rng, n=60)
-    config = TrainConfig(learning_rate=0.05, epochs=1, batch_size=16, hidden_sizes=(5,))
+    # Biases start at zero, so an all-zero row in the first batch gives exactly-zero
+    # pre-activations in every hidden layer: the rectifier mask is pinned at z == 0.
+    features = dataset.features.copy()
+    features[np.random.default_rng(99).permutation(60)[0]] = 0.0
+    dataset = Dataset(features, dataset.labels, dataset.ids)
 
-    ours = init([3, 5, 3], seed=11)
-    reference = ours.copy()
-    for _ in range(10):
-        train_epoch(ours, dataset, 0.0, config, np.random.default_rng(99))
-    for _ in range(10):
-        hard_only_epoch(reference, dataset, config, np.random.default_rng(99))
+    for sizes in ([3, 5, 3], [3, 5, 4, 3]):
+        config = TrainConfig(learning_rate=0.05, epochs=1, batch_size=16, hidden_sizes=tuple(sizes[1:-1]))
+        ours = init(sizes, seed=11)
+        reference = ours.copy()
+        for _ in range(10):
+            train_epoch(ours, dataset, 0.0, config, np.random.default_rng(99))
+        for _ in range(10):
+            hard_only_epoch(reference, dataset, config, np.random.default_rng(99))
 
-    for w_a, w_b in zip(ours.weights, reference.weights):
-        np.testing.assert_array_equal(w_a, w_b)
-    for b_a, b_b in zip(ours.biases, reference.biases):
-        np.testing.assert_array_equal(b_a, b_b)
+        for w_a, w_b in zip(ours.weights, reference.weights):
+            np.testing.assert_array_equal(w_a, w_b)
+        for b_a, b_b in zip(ours.biases, reference.biases):
+            np.testing.assert_array_equal(b_a, b_b)
 
 
 def test_training_is_deterministic():

@@ -127,10 +127,12 @@ class SynthConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.counts)
-        if len(counts) != 3 or any(c < 1 for c in counts):
+        counts = tuple(self.counts)
+        if len(counts) != 3 or any(type(c) is not int or c < 1 for c in counts):  # bool is an int subclass
             raise ValueError(f"counts must be three positive integers, got {self.counts!r}")
         object.__setattr__(self, "counts", counts)
+        if type(self.feature_dim) is not int:
+            raise ValueError(f"feature_dim must be an integer, got {self.feature_dim!r}")
         if self.feature_dim < 2:
             raise ValueError("feature_dim must be at least 2 (class 0 needs an orthogonal axis)")
         if not (self.separation > 0):
@@ -263,8 +265,8 @@ def stratified_kfold(
     the remaining ids of each class are reshuffled (generator seeded by
     ``[seed, i]``) and split val/train at ``val_fraction``, rounded to the
     nearest integer per class. All per-class counts therefore stay within
-    one sample of exact proportionality. Raises ``ValueError`` if that
-    split would leave a class with no training sample in some partition.
+    one sample of exact proportionality. Raises ``ValueError`` if a class
+    would get no training sample, or a partition no validation sample.
     """
     if k < 2:
         raise ValueError(f"fold count must be at least 2, got {k}")
@@ -299,6 +301,8 @@ def stratified_kfold(
                 )
             val_parts.append(remaining[:n_val])
             train_parts.append(remaining[n_val:])
+        if not any(len(part) for part in val_parts):
+            raise ValueError(f"k={k} and val_fraction={val_fraction} leave fold {i} no validation samples")
         partitions.append(
             FoldPartition(
                 fold_index=i,

@@ -78,10 +78,10 @@ class ExperimentConfig:
         if len(set(names)) != len(names):
             raise ConfigError(f"arm names must be unique, got {names}")
         for arm in self.arms:
-            if arm.spec.total_epochs != self.train.epochs:
+            if arm.spec.switch_epoch > self.train.epochs:
                 raise ConfigError(
-                    f"arm {arm.name!r}: scheduler E={arm.spec.total_epochs} "
-                    f"must equal train.epochs={self.train.epochs}"
+                    f"arm {arm.name!r}: switch epoch L={arm.spec.switch_epoch} "
+                    f"must be at most train.epochs={self.train.epochs}"
                 )
 
 
@@ -150,7 +150,6 @@ _TRAIN_KEYS = {
 }
 _ARM_KEYS = {
     "kind": ("kind", lambda value, _: value),
-    "E": ("total_epochs", _int),
     "L": ("switch_epoch", _int),
     "epsilon": ("exp_floor", _float),
     "name": ("name", lambda value, _: value),
@@ -182,8 +181,7 @@ def _read(section, where: str, keys: dict, required: str | None = None) -> dict:
 def _arm(value, where: str, epochs: int) -> Arm:
     fields = _read(value, where, _ARM_KEYS, "kind")
     name = fields.pop("name", fields["kind"])
-    fields.setdefault("total_epochs", epochs)
-    fields.setdefault("switch_epoch", default_switch_epoch(fields["total_epochs"]))
+    fields.setdefault("switch_epoch", default_switch_epoch(epochs))
     spec = _build(SchedulerSpec, fields, where)
     if not isinstance(name, str) or not name:
         raise ConfigError(f"{where}.name must be a non-empty string, got {name!r}")

@@ -28,11 +28,15 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not (0 < self.learning_rate < math.inf):
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        hidden = tuple(int(h) for h in self.hidden_sizes)
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if type(value) is not int:  # bool is a subclass of int
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        hidden = tuple(self.hidden_sizes)
+        if any(type(h) is not int for h in hidden):
+            raise ValueError(f"hidden layer sizes must be integers, got {self.hidden_sizes!r}")
         if any(h < 1 for h in hidden):
             raise ValueError(f"hidden layer sizes must be positive, got {self.hidden_sizes!r}")
         object.__setattr__(self, "hidden_sizes", hidden)
@@ -96,17 +100,14 @@ def init(layer_sizes, seed: int) -> ModelParams:
 
 
 def _forward(params: ModelParams, x: np.ndarray):
-    """Batch forward pass; returns final scores plus per-layer caches."""
+    """Batch forward pass; returns final scores plus each layer's input."""
     activations = [x]
-    pre_acts = []
     h = x
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        z = h @ w.T + b
-        pre_acts.append(z)
-        h = np.maximum(z, 0.0)
+        h = np.maximum(h @ w.T + b, 0.0)
         activations.append(h)
     scores = h @ params.weights[-1].T + params.biases[-1]
-    return scores, pre_acts, activations
+    return scores, activations
 
 
 def predict_proba_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -117,11 +118,12 @@ def predict_proba_batch(params: ModelParams, features: np.ndarray) -> np.ndarray
     return softmax(_forward(params, x)[0])
 
 
-def _backward(params: ModelParams, score_grad: np.ndarray, pre_acts, activations):
+def _backward(params: ModelParams, score_grad: np.ndarray, activations):
     """Gradients of the batch loss w.r.t. every weight and bias.
 
     ``score_grad`` is d(loss)/d(scores) for the whole batch, already scaled
-    by 1/batch_size.
+    by 1/batch_size. The rectifier mask is ``max(z, 0) > 0``, which holds
+    exactly where ``z > 0``, so no pre-activation needs keeping.
     """
     weight_grads = [None] * len(params.weights)
     bias_grads = [None] * len(params.biases)
@@ -130,7 +132,7 @@ def _backward(params: ModelParams, score_grad: np.ndarray, pre_acts, activations
         weight_grads[l] = delta.T @ activations[l]
         bias_grads[l] = delta.sum(axis=0)
         if l > 0:
-            delta = (delta @ params.weights[l]) * (pre_acts[l - 1] > 0.0)
+            delta = (delta @ params.weights[l]) * (activations[l] > 0.0)
     return weight_grads, bias_grads
 
 
@@ -157,10 +159,10 @@ def train_epoch(
     for start in range(0, n, config.batch_size):
         x = features[start : start + config.batch_size]
         y = labels[start : start + config.batch_size]
-        scores, pre_acts, activations = _forward(params, x)
+        scores, activations = _forward(params, x)
         losses, grads = batch_combined_loss_grad(scores, y, lam)
         total_loss += float(losses.sum())
-        weight_grads, bias_grads = _backward(params, grads / len(y), pre_acts, activations)
+        weight_grads, bias_grads = _backward(params, grads / len(y), activations)
         for w, b, dw, db in zip(params.weights, params.biases, weight_grads, bias_grads):
             w -= config.learning_rate * dw
             b -= config.learning_rate * db
@@ -169,11 +171,11 @@ def train_epoch(
 
 @dataclass
 class TrainResult:
-    """Outcome of a full training run with best-epoch selection."""
+    """Outcome of a full training run with best-epoch selection; the
+    selected epoch's validation score is ``val_scores[best_epoch]``."""
 
     params: ModelParams
     best_epoch: int
-    best_val_score: float
     epoch_losses: list[float] = field(default_factory=list)
     val_scores: list[float] = field(default_factory=list)
 
@@ -219,7 +221,6 @@ def train(
     return TrainResult(
         params=best_params,
         best_epoch=best_epoch,
-        best_val_score=float(best_score),
         epoch_losses=epoch_losses,
         val_scores=val_scores,
     )

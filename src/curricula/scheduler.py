@@ -17,6 +17,9 @@ from the switch epoch onward (pure hard task). Closed forms on
 ``constant_zero`` returns 0 at every epoch; it exists so a plain
 hard-task baseline runs through the same training path as the
 scheduled arms.
+
+No weight depends on the total epoch count: a spec does not hold it, and
+``schedule(spec, epochs)`` takes it from the caller.
 """
 
 from __future__ import annotations
@@ -24,19 +27,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-KINDS = (
-    "cosine",
-    "linear",
-    "concave_quadratic",
-    "convex_quadratic",
-    "exponential",
-    "logarithm",
-    "step",
-    "constant_zero",
-)
+# Each kind's weight on 0 <= e < L, in the closed forms above; every kind is
+# 0 from the switch epoch L on. The baseline is listed last.
+_FORMS = {
+    "cosine": lambda e, L, floor: (math.cos(e / L * math.pi) + 1.0) / 2.0,
+    "linear": lambda e, L, floor: 1.0 - e / L,
+    "concave_quadratic": lambda e, L, floor: 1.0 - (e / L) * (e / L),
+    "convex_quadratic": lambda e, L, floor: (e - L) ** 2 / L**2,
+    "exponential": lambda e, L, floor: floor ** (e / L),
+    "logarithm": lambda e, L, floor: math.log(1.0 + L - e) / math.log(1.0 + L),
+    "step": lambda e, L, floor: 1.0,
+    "constant_zero": lambda e, L, floor: 0.0,
+}
+
+KINDS = tuple(_FORMS)
 
 #: Kinds that actually schedule a curriculum (everything but the baseline).
-CURRICULUM_KINDS = tuple(k for k in KINDS if k != "constant_zero")
+CURRICULUM_KINDS = KINDS[:-1]
 
 DEFAULT_EXP_FLOOR = 1e-3
 
@@ -45,14 +52,13 @@ DEFAULT_EXP_FLOOR = 1e-3
 class SchedulerSpec:
     """A scheduler kind plus its hyperparameters.
 
-    ``switch_epoch`` is the first epoch with weight 0; ``total_epochs``
-    bounds the valid epoch range. ``exp_floor`` is the terminal value the
-    exponential kind decays toward.
+    ``switch_epoch`` is the first epoch with weight 0; ``exp_floor`` is the
+    terminal value the exponential kind decays toward. The epoch count is
+    not part of a spec (see ``schedule``).
     """
 
     kind: str
     switch_epoch: int
-    total_epochs: int
     exp_floor: float = DEFAULT_EXP_FLOOR
 
     def __post_init__(self) -> None:
@@ -62,58 +68,30 @@ class SchedulerSpec:
             )
         if not isinstance(self.switch_epoch, int) or isinstance(self.switch_epoch, bool):
             raise ValueError("switch_epoch must be an integer")
-        if not isinstance(self.total_epochs, int) or isinstance(self.total_epochs, bool):
-            raise ValueError("total_epochs must be an integer")
         if self.switch_epoch < 1:
             raise ValueError(f"switch_epoch must be >= 1, got {self.switch_epoch}")
-        if self.total_epochs < self.switch_epoch:
-            raise ValueError(
-                f"total_epochs ({self.total_epochs}) must be >= switch_epoch ({self.switch_epoch})"
-            )
         if not (0.0 < self.exp_floor < 1.0):
             raise ValueError(f"exp_floor must lie in (0, 1), got {self.exp_floor}")
 
 
-def default_switch_epoch(total_epochs: int) -> int:
+def default_switch_epoch(epochs: int) -> int:
     """Half the training budget, rounded down (used when a config omits it)."""
-    return max(1, total_epochs // 2)
+    return max(1, epochs // 2)
 
 
 def lambda_at(spec: SchedulerSpec, epoch: int) -> float:
     """Curriculum weight at ``epoch`` for the given spec.
 
     The weight is held fixed for all batches within an epoch. Raises
-    ``ValueError`` when ``epoch`` is outside ``[0, total_epochs]``.
+    ``ValueError`` unless ``epoch`` is a non-negative integer.
     """
-    if not isinstance(epoch, int) or isinstance(epoch, bool):
-        raise ValueError(f"epoch must be an integer, got {epoch!r}")
-    if epoch < 0 or epoch > spec.total_epochs:
-        raise ValueError(
-            f"epoch {epoch} out of range [0, {spec.total_epochs}] for scheduler {spec.kind!r}"
-        )
-    if spec.kind == "constant_zero":
-        return 0.0
-    # The cut-off branch wins at the boundary for every kind, including
-    # convex_quadratic whose closed form is also 0 there.
+    if not isinstance(epoch, int) or isinstance(epoch, bool) or epoch < 0:
+        raise ValueError(f"epoch must be a non-negative integer, got {epoch!r}")
     if epoch >= spec.switch_epoch:
         return 0.0
-    t = epoch / spec.switch_epoch
-    if spec.kind == "cosine":
-        return (math.cos(t * math.pi) + 1.0) / 2.0
-    if spec.kind == "linear":
-        return 1.0 - t
-    if spec.kind == "concave_quadratic":
-        return 1.0 - t * t
-    if spec.kind == "convex_quadratic":
-        return (epoch - spec.switch_epoch) ** 2 / spec.switch_epoch**2
-    if spec.kind == "exponential":
-        return spec.exp_floor**t
-    if spec.kind == "logarithm":
-        return math.log(1.0 + spec.switch_epoch - epoch) / math.log(1.0 + spec.switch_epoch)
-    assert spec.kind == "step"
-    return 1.0
+    return _FORMS[spec.kind](epoch, spec.switch_epoch, spec.exp_floor)
 
 
-def schedule(spec: SchedulerSpec) -> list[float]:
-    """The per-epoch weights ``[lambda(0), ..., lambda(total_epochs - 1)]``."""
-    return [lambda_at(spec, e) for e in range(spec.total_epochs)]
+def schedule(spec: SchedulerSpec, epochs: int) -> list[float]:
+    """The per-epoch weights ``[lambda(0), ..., lambda(epochs - 1)]``."""
+    return [lambda_at(spec, e) for e in range(epochs)]

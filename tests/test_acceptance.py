@@ -45,7 +45,7 @@ def test_criterion_1_scheduler_closed_forms():
         }
         assert set(forms) == set(CURRICULUM_KINDS)
         for kind, form in forms.items():
-            spec = SchedulerSpec(kind=kind, switch_epoch=L, total_epochs=E)
+            spec = SchedulerSpec(kind=kind, switch_epoch=L)
             assert lambda_at(spec, 0) == 1.0
             for e in range(E + 1):
                 expected = form(e) if e < L else 0.0
@@ -112,9 +112,9 @@ def test_criterion_3_gradient_oracle():
             x = rng.normal(size=(4, 3))
             y = rng.integers(3, size=4)
             lam = float(rng.uniform())
-            scores, pre_acts, activations = _forward(params, x)
+            scores, activations = _forward(params, x)
             _, grads = batch_combined_loss_grad(scores, y, lam)
-            weight_grads, bias_grads = _backward(params, grads / len(y), pre_acts, activations)
+            weight_grads, bias_grads = _backward(params, grads / len(y), activations)
 
             tensors = list(zip(params.weights, weight_grads)) + list(
                 zip(params.biases, bias_grads)

@@ -120,6 +120,20 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             generate_synthetic(SynthConfig(counts=(5, 5, 5)))  # seed unset
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(counts=(20.9, 1, 30)), "counts must be three positive integers, got (20.9, 1, 30)"),
+            (dict(counts=(5, True, 5)), "counts must be three positive integers, got (5, True, 5)"),
+            (dict(feature_dim=2.5), "feature_dim must be an integer, got 2.5"),
+            (dict(feature_dim=True), "feature_dim must be an integer, got True"),
+        ],
+    )
+    def test_non_integer_sizes_rejected(self, kwargs, message):
+        with pytest.raises(ValueError) as excinfo:
+            SynthConfig(**{"counts": (5, 5, 5), "seed": 0, **kwargs})
+        assert str(excinfo.value) == message
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
@@ -279,6 +293,16 @@ class TestStratifiedKFold:
         ds = synth(counts=(2, 10, 10), seed=5)
         for part in stratified_kfold(ds, k=2, val_fraction=0.49, seed=0):
             assert ds.subset(part.train_ids).class_counts()[0] == 1
+
+    def test_empty_validation_split_rejected(self):
+        # 8 non-test ids per class, and int(0.05 * 8 + 0.5) == 0: no fold would validate on anything
+        ds = synth(counts=(10, 10, 10), seed=5)
+        with pytest.raises(ValueError, match=r"k=5 and val_fraction=0\.05 leave fold 0 no validation samples"):
+            stratified_kfold(ds, k=5, val_fraction=0.05, seed=0)
+        # one class rounding up to a validation sample is enough
+        ds = synth(counts=(10, 10, 13), seed=5)
+        for part in stratified_kfold(ds, k=5, val_fraction=0.05, seed=0):
+            assert ds.subset(part.val_ids).class_counts() == (0, 0, 1)
 
     def test_parameter_validation(self):
         ds = synth(counts=(10, 10, 10), seed=6)

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,7 +84,7 @@ class TestParseConfig:
         assert config.train.hidden_sizes == (16,)
         assert config.arms[0].name == "linear"
         assert config.arms[0].spec.switch_epoch == 50
-        assert config.arms[0].spec.total_epochs == 100
+        assert config.train.epochs == 100
 
     def test_switch_epoch_defaults_to_half(self, tmp_path):
         path = write_config(
@@ -94,15 +95,17 @@ class TestParseConfig:
         )
         assert parse_config(path).arms[0].spec.switch_epoch == 45
 
-    def test_epoch_mismatch_named(self, tmp_path):
-        path = write_config(
-            tmp_path,
+    def test_switch_epoch_beyond_training_named(self, tmp_path):
+        text = (
             "data:\n  synthetic:\n    counts: [10, 10, 10]\n"
-            "train:\n  epochs: 100\n"
-            "arms:\n  - {kind: linear, E: 50}\n",
+            "train:\n  epochs: 20\n"
+            "arms:\n  - {{kind: step}}\n  - {{kind: linear, L: {L}, name: late}}\n"
         )
-        with pytest.raises(ConfigError, match="E=50.*epochs=100"):
-            parse_config(path)
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(write_config(tmp_path, text.format(L=21)))
+        assert str(excinfo.value) == "arm 'late': switch epoch L=21 must be at most train.epochs=20"
+        # L == train.epochs is allowed: the weight is positive in every trained epoch
+        assert parse_config(write_config(tmp_path, text.format(L=20))).arms[1].spec.switch_epoch == 20
 
     def test_all_eight_kinds(self, tmp_path):
         arms = "\n".join(f"  - {{kind: {kind}}}" for kind in KINDS)
@@ -121,6 +124,8 @@ class TestParseConfig:
             "data:\n  synthetic:\n    counts: [10, 10, 10]\ntrain:\n  lr: 0.1\narms:\n  - {kind: step}\n",
             "data:\n  synthetic:\n    counts: [10, 10, 10]\ntrain:\n  seed: 0\narms:\n  - {kind: step}\n",
             "data:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: step, warmup: 3}\n",
+            # the epoch count lives only in train.epochs
+            "data:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: step, E: 100}\n",
         ):
             with pytest.raises(ConfigError, match="unknown keys"):
                 parse_config(write_config(tmp_path, text))
@@ -216,6 +221,12 @@ class TestParseConfig:
         assert str(config.csv_path) == "features.csv"
         assert config.synth is None
 
+    def test_readme_config_schema_parses(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Config schema", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+        config = parse_config(write_config(tmp_path, block))
+        assert [arm.name for arm in config.arms] == ["constant_zero", "linear-early"]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):
             parse_config(tmp_path / "nope.yaml")
@@ -237,9 +248,7 @@ class TestParseConfig:
                 if f.name not in skip:
                     assert getattr(parsed, f.name) == f.default, f"{cls.__name__}.{f.name}"
         # the computed defaults
-        spec = config.arms[0].spec
-        assert spec.total_epochs == config.train.epochs
-        assert spec.switch_epoch == default_switch_epoch(spec.total_epochs)
+        assert config.arms[0].spec.switch_epoch == default_switch_epoch(config.train.epochs)
         assert config.arms[0].name == "exponential"
 
     def test_null_synthetic_seed_is_derived(self, tmp_path):
@@ -265,6 +274,10 @@ class TestParseConfig:
             (
                 "data:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: exponential, epsilon: 0}\n",
                 "arms[0]: exp_floor must lie in (0, 1), got 0.0",
+            ),
+            (
+                "data:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: step, E: 100}\n",
+                "arms[0]: unknown keys ['E']; allowed keys are ['L', 'epsilon', 'kind', 'name']",
             ),
         ],
     )

@@ -129,9 +129,9 @@ def test_backprop_matches_finite_differences():
             y = rng.integers(3, size=5)
             lam = float(rng.uniform())
 
-            scores, pre_acts, activations = _forward(params, x)
+            scores, activations = _forward(params, x)
             _, grads = batch_combined_loss_grad(scores, y, lam)
-            weight_grads, bias_grads = _backward(params, grads / len(y), pre_acts, activations)
+            weight_grads, bias_grads = _backward(params, grads / len(y), activations)
 
             step = 1e-6
             for w, dw in zip(params.weights, weight_grads):
@@ -256,6 +256,22 @@ def test_train_config_rejects_non_finite_learning_rate():
     for bad in (float("inf"), float("nan"), 0.0, -0.1):
         with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
             TrainConfig(learning_rate=bad)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(hidden_sizes=(2.7,)), "hidden layer sizes must be integers, got (2.7,)"),
+        (dict(hidden_sizes=(4, True)), "hidden layer sizes must be integers, got (4, True)"),
+        (dict(epochs=2.5), "epochs must be an integer, got 2.5"),
+        (dict(epochs=True), "epochs must be an integer, got True"),
+        (dict(batch_size=2.5), "batch_size must be an integer, got 2.5"),
+    ],
+)
+def test_train_config_rejects_non_integer_sizes(kwargs, message):
+    with pytest.raises(ValueError) as excinfo:
+        TrainConfig(**kwargs)
+    assert str(excinfo.value) == message
 
 
 def test_train_rejects_mismatched_lambdas_and_empty_val():

@@ -278,11 +278,17 @@ def test_fold_contract(k, extra, val_fraction, seed, rnd):
     labels = [c for c in range(3) for _ in range(counts[c])]
     ids = rnd.sample(range(10**6), len(labels))  # unsorted, not 0..n-1
     dataset = Dataset(np.zeros((len(labels), 1)), np.array(labels), np.array(ids))
-    # A class has the fewest non-test samples in a fold where its test share is
-    # largest, ceil(n / k). Validation takes round(val_fraction * remaining) of them.
-    fewest = [n - -(-n // k) for n in counts]
-    if any(int(val_fraction * r + 0.5) >= r for r in fewest):
-        with pytest.raises(ValueError, match=rf"k={k} and val_fraction={val_fraction} leave class \d no training"):
+    # Fold i tests len(range(i, n, k)) of a class's n ids; validation takes
+    # round(val_fraction * remaining) of the rest. A split fails when that leaves
+    # some class no training sample, or some fold no validation sample at all.
+    remaining = [[n - len(range(i, n, k)) for n in counts] for i in range(k)]
+    n_val = [[int(val_fraction * r + 0.5) for r in fold] for fold in remaining]
+    starved = any(v >= r for fold_v, fold_r in zip(n_val, remaining) for v, r in zip(fold_v, fold_r))
+    if starved or not all(any(fold) for fold in n_val):
+        with pytest.raises(
+            ValueError,
+            match=rf"k={k} and val_fraction={val_fraction} leave (class \d no training|fold \d no validation) samples",
+        ):
             stratified_kfold(dataset, k=k, val_fraction=val_fraction, seed=seed)
         return
     partitions = stratified_kfold(dataset, k=k, val_fraction=val_fraction, seed=seed)
@@ -294,6 +300,7 @@ def test_fold_contract(k, extra, val_fraction, seed, rnd):
         joined = [i for split in splits for i in split]
         assert sorted(joined) == sorted(ids)  # disjoint and covering
         tested += splits[2]
+        assert splits[1]
         for c in range(3):
             train_c, val_c, test_c = (sum(label_of[i] == c for i in split) for split in splits)
             assert train_c >= 1

@@ -26,6 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._checks import real, whole, wholes
+
 #: The fine labels; every module takes the class set from here.
 CLASSES = (0, 1, 2)
 _MAX_ID = np.iinfo(np.int64).max
@@ -127,22 +129,18 @@ class SynthConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        counts = tuple(self.counts)
-        if len(counts) != 3 or any(type(c) is not int or c < 1 for c in counts):  # bool is an int subclass
-            raise ValueError(f"counts must be three positive integers, got {self.counts!r}")
-        object.__setattr__(self, "counts", counts)
-        if type(self.feature_dim) is not int:
-            raise ValueError(f"feature_dim must be an integer, got {self.feature_dim!r}")
-        if self.feature_dim < 2:
-            raise ValueError("feature_dim must be at least 2 (class 0 needs an orthogonal axis)")
+        object.__setattr__(self, "counts", wholes(self.counts, "counts", three=True))
+        whole(self.feature_dim, "feature_dim", 2)  # class 0 needs an orthogonal axis
+        for name in ("separation", "overlap", "noise"):
+            object.__setattr__(self, name, real(getattr(self, name), name))
         if not (self.separation > 0):
             raise ValueError(f"separation must be positive, got {self.separation}")
         if not (0.0 <= self.overlap <= 1.0):
             raise ValueError(f"overlap must lie in [0, 1], got {self.overlap}")
         if not (self.noise > 0):
             raise ValueError(f"noise must be positive, got {self.noise}")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.seed is not None:
+            whole(self.seed, "seed", 0)
 
 
 def class_means(config: SynthConfig) -> np.ndarray:

@@ -10,7 +10,7 @@ the fold index, so arms differ only in their curriculum schedule.
 
 from __future__ import annotations
 
-import math
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -19,6 +19,7 @@ import yaml
 
 from . import metrics as metrics_mod
 from . import model as model_mod
+from ._checks import file_path, real, whole
 from .data import Dataset, FoldPartition, SynthConfig, generate_synthetic, load_csv, stratified_kfold
 from .metrics import METRIC_NAMES, MetricsReport
 from .model import TrainConfig
@@ -50,6 +51,10 @@ class Arm:
     name: str
     spec: SchedulerSpec
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(f"name must be a non-empty string, got {self.name!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -64,96 +69,52 @@ class ExperimentConfig:
     echo: dict | None = None
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.k < 2:
-            raise ConfigError(f"config.k must be at least 2, got {self.k!r}")
+        object.__setattr__(self, "out_dir", file_path(self.out_dir, "out_dir"))
+        whole(self.k, "k", 2)
+        object.__setattr__(self, "val_fraction", real(self.val_fraction, "val_fraction"))
         if not (0.0 < self.val_fraction < 1.0):
-            raise ConfigError(f"config.val_fraction must lie in (0, 1), got {self.val_fraction!r}")
+            raise ValueError(f"val_fraction must lie in (0, 1), got {self.val_fraction!r}")
+        whole(self.seed, "seed", 0)
+        if self.csv_path is not None:
+            object.__setattr__(self, "csv_path", file_path(self.csv_path, "csv_path"))
         if (self.synth is None) == (self.csv_path is None):
-            raise ConfigError("config needs exactly one data source (synthetic or csv)")
+            raise ValueError("config needs exactly one data source (synthetic or csv)")
         if not self.arms:
-            raise ConfigError("config needs at least one arm")
+            raise ValueError("config needs at least one arm")
         names = [arm.name for arm in self.arms]
         if len(set(names)) != len(names):
-            raise ConfigError(f"arm names must be unique, got {names}")
+            raise ValueError(f"arm names must be unique, got {names}")
         for arm in self.arms:
             if arm.spec.switch_epoch > self.train.epochs:
-                raise ConfigError(
+                raise ValueError(
                     f"arm {arm.name!r}: switch epoch L={arm.spec.switch_epoch} "
                     f"must be at most train.epochs={self.train.epochs}"
                 )
 
 
-def _int(value, name: str) -> int:
-    if type(value) is not int:  # bool is a subclass of int
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
+# Each section's keys, mapped to the dataclass field a key sets. A key the
+# file leaves out is not passed on, so the dataclasses hold every default
+# and check every value.
+_CONFIG_KEYS = {"out_dir": "out_dir", "k": "k", "val_fraction": "val_fraction", "seed": "seed"}
+_DATA_KEYS = {"synthetic": "synth", "csv": "csv_path"}
+_SYNTH_KEYS = {key: key for key in ("counts", "seed", "feature_dim", "separation", "overlap", "noise")}
+_TRAIN_KEYS = {key: key for key in ("hidden_sizes", "learning_rate", "epochs", "batch_size")}
+_ARM_KEYS = {"kind": "kind", "L": "switch_epoch", "epsilon": "exp_floor", "name": "name"}
 
 
-def _float(value, name: str) -> float:
-    if type(value) not in (int, float):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    return float(value)
-
-
-def _ints(value, name: str, three: bool = False) -> tuple[int, ...]:
-    if not isinstance(value, list) or any(type(v) is not int for v in value) or (three and len(value) != 3):
-        raise ConfigError(f"{name} must be a list of {'three ' if three else ''}integers, got {value!r}")
-    return tuple(value)
-
-
-def _path(value, name: str) -> Path:
-    if not isinstance(value, str):
-        raise ConfigError(f"{name} must be a path string, got {value!r}")
-    return Path(value)
-
-
-def _build(cls, fields: dict, where: str):
-    """``cls(**fields)``, its ``ValueError`` re-raised as a ``ConfigError`` naming ``where``."""
+def _build(cls, fields: dict, where: str, keys: dict):
+    """``cls(**fields)``, its ``ValueError`` re-raised as a ``ConfigError``. A
+    message that starts with a field name starts with that field's key path
+    instead; any other is prefixed with ``where``, the section's path."""
     try:
         return cls(**fields)
     except ValueError as e:
-        raise ConfigError(f"{where}: {e}") from None
-
-
-# Each section's keys, mapped to the dataclass field a key sets and the check
-# that turns its value into the field's. A key the file leaves out is not
-# passed on, so the dataclasses hold every default.
-_CONFIG_KEYS = {
-    "out_dir": ("out_dir", lambda value, _: _path(value, "out_dir")),  # named without "config."
-    "k": ("k", _int),
-    "val_fraction": ("val_fraction", _float),
-    "seed": ("seed", _int),
-}
-_DATA_KEYS = {
-    "synthetic": (
-        "synth", lambda value, name: _build(SynthConfig, _read(value, name, _SYNTH_KEYS, "counts"), name)
-    ),
-    "csv": ("csv_path", _path),
-}
-_SYNTH_KEYS = {
-    "counts": ("counts", lambda value, name: _ints(value, name, three=True)),
-    "seed": ("seed", lambda value, name: None if value is None else _int(value, name)),  # None: derived
-    "feature_dim": ("feature_dim", _int),
-    "separation": ("separation", _float),
-    "overlap": ("overlap", _float),
-    "noise": ("noise", _float),
-}
-_TRAIN_KEYS = {
-    "hidden_sizes": ("hidden_sizes", _ints),
-    "learning_rate": ("learning_rate", _float),
-    "epochs": ("epochs", _int),
-    "batch_size": ("batch_size", _int),
-}
-_ARM_KEYS = {
-    "kind": ("kind", lambda value, _: value),
-    "L": ("switch_epoch", _int),
-    "epsilon": ("exp_floor", _float),
-    "name": ("name", lambda value, _: value),
-}
+        message = str(e)
+        field = re.match(r"\w*", message)[0]
+        paths = {name: f"{where}.{key}".lstrip(".") for key, name in keys.items()}
+        if field in paths:
+            raise ConfigError(paths[field] + message[len(field) :]) from None
+        raise ConfigError(f"{where}: {message}" if where else message) from None
 
 
 def _require_mapping(value, where: str, allowed) -> dict:
@@ -165,27 +126,21 @@ def _require_mapping(value, where: str, allowed) -> dict:
     return value
 
 
-def _pick(raw: dict, where: str, keys: dict) -> dict:
-    """The checked values of the keys ``raw`` sets, by field name."""
-    return {field: check(raw[key], f"{where}.{key}") for key, (field, check) in keys.items() if key in raw}
-
-
-def _read(section, where: str, keys: dict, required: str | None = None) -> dict:
-    """``_pick`` of a mapping that holds only ``keys``, ``required`` among them."""
+def _fields(section, where: str, keys: dict, required: str | None = None) -> dict:
+    """The values ``section`` sets, by field name. ``section`` must be a
+    mapping of ``keys`` only, with ``required`` among them."""
     section = _require_mapping(section, where, keys)
     if required is not None and required not in section:
         raise ConfigError(f"{where}: missing required key {required!r}")
-    return _pick(section, where, keys)
+    return {keys[key]: value for key, value in section.items()}
 
 
 def _arm(value, where: str, epochs: int) -> Arm:
-    fields = _read(value, where, _ARM_KEYS, "kind")
+    fields = _fields(value, where, _ARM_KEYS, "kind")
     name = fields.pop("name", fields["kind"])
     fields.setdefault("switch_epoch", default_switch_epoch(epochs))
-    spec = _build(SchedulerSpec, fields, where)
-    if not isinstance(name, str) or not name:
-        raise ConfigError(f"{where}.name must be a non-empty string, got {name!r}")
-    return Arm(name=name, spec=spec)
+    spec = _build(SchedulerSpec, fields, where, _ARM_KEYS)
+    return _build(Arm, {"name": name, "spec": spec}, where, _ARM_KEYS)
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
@@ -204,9 +159,12 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError("data: give either 'synthetic' or 'csv', not both")
     if not data:
         raise ConfigError("data: needs 'synthetic' or 'csv'")
-    source = _pick(data, "data", _DATA_KEYS)
+    ((key, source),) = data.items()
+    if key == "synthetic":
+        where = "data.synthetic"
+        source = _build(SynthConfig, _fields(source, where, _SYNTH_KEYS, "counts"), where, _SYNTH_KEYS)
 
-    train = _build(TrainConfig, _read(raw.get("train", {}), "train", _TRAIN_KEYS), "train")
+    train = _build(TrainConfig, _fields(raw.get("train", {}), "train", _TRAIN_KEYS), "train", _TRAIN_KEYS)
 
     if "arms" not in raw:
         raise ConfigError("config: missing required section 'arms'")
@@ -214,7 +172,9 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError("arms must be a non-empty list")
     arms = tuple(_arm(arm, f"arms[{i}]", train.epochs) for i, arm in enumerate(raw["arms"]))
 
-    return ExperimentConfig(train=train, arms=arms, **source, **_pick(raw, "config", _CONFIG_KEYS), echo=raw)
+    fields = {field: raw[key] for key, field in _CONFIG_KEYS.items() if key in raw}
+    fields.update({_DATA_KEYS[key]: source, "train": train, "arms": arms, "echo": raw})
+    return _build(ExperimentConfig, fields, "", {**_CONFIG_KEYS, "data.csv": "csv_path"})
 
 
 def resolved_synth(config: ExperimentConfig) -> SynthConfig:

@@ -8,11 +8,11 @@ deterministic given the initial parameters and the shuffle generator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import real, whole, wholes
 from .data import CLASSES, Dataset
 from .losses import batch_combined_loss_grad, softmax
 from .metrics import mean_recall
@@ -26,20 +26,12 @@ class TrainConfig:
     hidden_sizes: tuple[int, ...] = (16,)
 
     def __post_init__(self) -> None:
-        if not (0 < self.learning_rate < math.inf):
-            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        for name in ("epochs", "batch_size"):
-            value = getattr(self, name)
-            if type(value) is not int:  # bool is a subclass of int
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
-        hidden = tuple(self.hidden_sizes)
-        if any(type(h) is not int for h in hidden):
-            raise ValueError(f"hidden layer sizes must be integers, got {self.hidden_sizes!r}")
-        if any(h < 1 for h in hidden):
-            raise ValueError(f"hidden layer sizes must be positive, got {self.hidden_sizes!r}")
-        object.__setattr__(self, "hidden_sizes", hidden)
+        object.__setattr__(self, "learning_rate", real(self.learning_rate, "learning_rate"))
+        if not (self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        whole(self.epochs, "epochs", 1)
+        whole(self.batch_size, "batch_size", 1)
+        object.__setattr__(self, "hidden_sizes", wholes(self.hidden_sizes, "hidden_sizes"))
 
 
 @dataclass
@@ -149,8 +141,6 @@ def train_epoch(
     loss over the epoch.
     """
     n = len(train_set)
-    if n == 0:
-        raise ValueError("training set is empty")
     order = rng.permutation(n)
     # One gather per epoch; each batch is then a contiguous slice of it.
     features = train_set.features[order]
@@ -201,8 +191,6 @@ def train(
         raise ValueError(
             f"need one curriculum weight per epoch ({config.epochs}), got {len(lambdas)}"
         )
-    if len(val_set) == 0:
-        raise ValueError("validation set is empty")
 
     best_params = params.copy()
     best_score = -np.inf

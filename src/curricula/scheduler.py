@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._checks import real, whole
+
 # Each kind's weight on 0 <= e < L, in the closed forms above; every kind is
 # 0 from the switch epoch L on. The baseline is listed last.
 _FORMS = {
@@ -63,13 +65,9 @@ class SchedulerSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise ValueError(
-                f"unknown scheduler kind {self.kind!r}; expected one of {', '.join(KINDS)}"
-            )
-        if not isinstance(self.switch_epoch, int) or isinstance(self.switch_epoch, bool):
-            raise ValueError("switch_epoch must be an integer")
-        if self.switch_epoch < 1:
-            raise ValueError(f"switch_epoch must be >= 1, got {self.switch_epoch}")
+            raise ValueError(f"kind must be one of {', '.join(KINDS)}, got {self.kind!r}")
+        whole(self.switch_epoch, "switch_epoch", 1)
+        object.__setattr__(self, "exp_floor", real(self.exp_floor, "exp_floor"))
         if not (0.0 < self.exp_floor < 1.0):
             raise ValueError(f"exp_floor must lie in (0, 1), got {self.exp_floor}")
 

@@ -127,6 +127,9 @@ class TestSynthetic:
             (dict(counts=(5, True, 5)), "counts must be three positive integers, got (5, True, 5)"),
             (dict(feature_dim=2.5), "feature_dim must be an integer, got 2.5"),
             (dict(feature_dim=True), "feature_dim must be an integer, got True"),
+            (dict(seed=2.5), "seed must be an integer, got 2.5"),
+            (dict(noise=float("inf")), "noise must be finite, got inf"),
+            (dict(counts=5), "counts must be three positive integers, got 5"),
         ],
     )
     def test_non_integer_sizes_rejected(self, kwargs, message):

@@ -1,11 +1,18 @@
+import copy
 import dataclasses
+import math
 import os
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from curricula import cli
+from curricula import cli, harness
 from curricula.data import SynthConfig
 from curricula.harness import (
     Arm,
@@ -147,7 +154,7 @@ class TestParseConfig:
             "train:\n  hidden_sizes: [2.7, true]\n"
             "arms:\n  - {kind: step}\n",
         )
-        with pytest.raises(ConfigError, match=r"train\.hidden_sizes must be a list of integers"):
+        with pytest.raises(ConfigError, match=r"^train\.hidden_sizes must be a list of positive integers, got \[2\.7, True\]"):
             parse_config(path)
 
     def test_non_integer_counts_name_key(self, tmp_path):
@@ -155,27 +162,27 @@ class TestParseConfig:
             path = write_config(
                 tmp_path, f"data:\n  synthetic:\n    counts: {counts}\narms:\n  - {{kind: step}}\n"
             )
-            with pytest.raises(ConfigError, match=r"data\.synthetic\.counts must be a list of three integers"):
+            with pytest.raises(ConfigError, match=r"^data\.synthetic\.counts must be three positive integers"):
                 parse_config(path)
 
     def test_negative_seeds_name_key(self, tmp_path):
         path = write_config(
             tmp_path, "seed: -1\ndata:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: step}\n"
         )
-        with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
+        with pytest.raises(ConfigError, match="^seed must be at least 0, got -1"):
             parse_config(path)
         path = write_config(
             tmp_path,
             "data:\n  synthetic:\n    counts: [10, 10, 10]\n    seed: -1\narms:\n  - {kind: step}\n",
         )
-        with pytest.raises(ConfigError, match=r"data\.synthetic: seed must be non-negative, got -1"):
+        with pytest.raises(ConfigError, match=r"^data\.synthetic\.seed must be at least 0, got -1"):
             parse_config(path)
 
     def test_fold_count_below_two_names_key(self, tmp_path):
         path = write_config(
             tmp_path, "k: 1\ndata:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: step}\n"
         )
-        with pytest.raises(ConfigError, match=r"config\.k must be at least 2, got 1"):
+        with pytest.raises(ConfigError, match=r"^k must be at least 2, got 1"):
             parse_config(path)
 
     def test_val_fraction_out_of_range_names_key(self, tmp_path):
@@ -185,7 +192,7 @@ class TestParseConfig:
                 f"val_fraction: {bad}\ndata:\n  synthetic:\n    counts: [10, 10, 10]\n"
                 "arms:\n  - {kind: step}\n",
             )
-            with pytest.raises(ConfigError, match=r"config\.val_fraction must lie in \(0, 1\)"):
+            with pytest.raises(ConfigError, match=r"^val_fraction must lie in \(0, 1\)"):
                 parse_config(path)
 
     def test_missing_sections_rejected(self, tmp_path):
@@ -273,7 +280,7 @@ class TestParseConfig:
             ),
             (
                 "data:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: exponential, epsilon: 0}\n",
-                "arms[0]: exp_floor must lie in (0, 1), got 0.0",
+                "arms[0].epsilon must lie in (0, 1), got 0.0",
             ),
             (
                 "data:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: step, E: 100}\n",
@@ -285,6 +292,122 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as excinfo:
             parse_config(write_config(tmp_path, text))
         assert str(excinfo.value) == message
+
+
+SPEC = SchedulerSpec(kind="step", switch_epoch=2)
+
+
+def experiment_config(**kwargs):
+    fields = dict(train=TrainConfig(epochs=4), arms=(Arm("step", SPEC),), synth=SynthConfig(counts=(5, 5, 5)))
+    return ExperimentConfig(**{**fields, **kwargs})
+
+
+@pytest.mark.parametrize(
+    "build, kwargs, message",
+    [
+        (experiment_config, dict(k=2.5), "k must be an integer, got 2.5"),
+        (experiment_config, dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (experiment_config, dict(val_fraction="0.2"), "val_fraction must be a number, got '0.2'"),
+        (experiment_config, dict(out_dir=3), "out_dir must be a path string, got 3"),
+        (experiment_config, dict(synth=None, csv_path=True), "csv_path must be a path string, got True"),
+        (Arm, dict(name="", spec=SPEC), "name must be a non-empty string, got ''"),
+        (Arm, dict(name=3, spec=SPEC), "name must be a non-empty string, got 3"),
+    ],
+)
+def test_experiment_config_and_arm_reject_bad_values(build, kwargs, message):
+    with pytest.raises(ValueError) as excinfo:
+        build(**kwargs)
+    assert str(excinfo.value) == message
+
+
+def test_config_dataclasses_store_floats_and_paths():
+    config = experiment_config(out_dir="x", synth=None, csv_path="data.csv")
+    assert config.out_dir == Path("x") and config.csv_path == Path("data.csv")
+    assert type(TrainConfig(learning_rate=1).learning_rate) is float
+    synth = SynthConfig(counts=(5, 5, 5), separation=2, overlap=1, noise=2)
+    assert [type(v) for v in (synth.separation, synth.overlap, synth.noise)] == [float] * 3
+
+
+# A bad value for every key of the schema, by the key's path in the file.
+TEXT = st.text(alphabet="abc019.-_ ", max_size=6)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+NUMBER = st.one_of(st.integers(), st.floats(allow_nan=False))
+NOT_A_NUMBER = st.one_of(st.booleans(), TEXT, NON_FINITE)
+NON_POSITIVE = st.one_of(st.integers(max_value=0), st.floats(max_value=0.0))
+OUTSIDE_OPEN_UNIT = st.one_of(NON_POSITIVE, st.integers(min_value=1), st.floats(min_value=1.0))
+OUTSIDE_CLOSED_UNIT = st.one_of(
+    st.integers(max_value=-1), st.integers(min_value=2), st.floats(max_value=-1e-9), st.floats(min_value=1.0 + 1e-9)
+)
+
+
+def bad_int(least):
+    fractional = st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer())
+    return st.one_of(NOT_A_NUMBER, fractional, st.integers(max_value=least - 1))
+
+
+def bad_ints(length=None):
+    bad_item = st.one_of(st.booleans(), TEXT, st.floats(), st.integers(max_value=0))
+    items = st.lists(st.integers(1, 5), min_size=length or 1, max_size=length or 3)
+    # one item replaced by a bad one, so a three-item list keeps its length
+    with_bad_item = st.tuples(items, bad_item, st.integers(0, 2)).map(lambda t: [*t[0][: t[2]], t[1], *t[0][t[2] + 1 :]])
+    wrong_length = st.lists(st.integers(1, 5), max_size=5).filter(lambda v: len(v) != length)
+    return st.one_of(st.booleans(), TEXT, NUMBER, with_bad_item, *([wrong_length] if length else []))
+
+
+BAD_VALUES = {
+    ("out_dir",): st.one_of(st.booleans(), NUMBER),
+    ("k",): bad_int(2),
+    ("val_fraction",): st.one_of(NOT_A_NUMBER, OUTSIDE_OPEN_UNIT),
+    ("seed",): bad_int(0),
+    ("data", "synthetic"): st.one_of(st.booleans(), TEXT, NUMBER, st.lists(st.integers(), max_size=2)),
+    ("data", "csv"): st.one_of(st.booleans(), NUMBER),
+    ("data", "synthetic", "counts"): bad_ints(3),
+    ("data", "synthetic", "seed"): bad_int(0),
+    ("data", "synthetic", "feature_dim"): bad_int(2),
+    ("data", "synthetic", "separation"): st.one_of(NOT_A_NUMBER, NON_POSITIVE),
+    ("data", "synthetic", "overlap"): st.one_of(NOT_A_NUMBER, OUTSIDE_CLOSED_UNIT),
+    ("data", "synthetic", "noise"): st.one_of(NOT_A_NUMBER, NON_POSITIVE),
+    ("train", "hidden_sizes"): bad_ints(),
+    ("train", "learning_rate"): st.one_of(NOT_A_NUMBER, NON_POSITIVE),
+    ("train", "epochs"): bad_int(1),
+    ("train", "batch_size"): bad_int(1),
+    ("arms", 0, "kind"): st.one_of(st.booleans(), NUMBER, TEXT),
+    ("arms", 0, "L"): bad_int(1),
+    ("arms", 0, "epsilon"): st.one_of(NOT_A_NUMBER, OUTSIDE_OPEN_UNIT),
+    ("arms", 0, "name"): st.one_of(st.booleans(), NUMBER, st.just("")),
+}
+VALID = {"data": {"synthetic": {"counts": [10, 10, 10]}}, "train": {"epochs": 4}, "arms": [{"kind": "exponential"}]}
+
+
+def test_bad_values_cover_every_config_key():
+    sections = {
+        (): harness._CONFIG_KEYS,
+        ("data",): harness._DATA_KEYS,
+        ("data", "synthetic"): harness._SYNTH_KEYS,
+        ("train",): harness._TRAIN_KEYS,
+        ("arms", 0): harness._ARM_KEYS,
+    }
+    assert set(BAD_VALUES) == {(*where, key) for where, keys in sections.items() for key in keys}
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(sorted(BAD_VALUES, key=str)).flatmap(lambda key: st.tuples(st.just(key), BAD_VALUES[key])))
+def test_bad_value_error_starts_with_key_path(case):
+    path, value = case
+    raw = copy.deepcopy(VALID)
+    if path == ("data", "csv"):
+        del raw["data"]["synthetic"]
+    section = raw
+    for step in path[:-1]:
+        section = section[step]
+    section[path[-1]] = value
+    key_path = ".".join(str(step) for step in path).replace(".0.", "[0].")
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = Path(tmp) / "config.yaml"
+        config_path.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(config_path)
+    assert re.match(re.escape(key_path) + r"[ \[]", str(excinfo.value)), (key_path, value, str(excinfo.value))
 
 
 class TestRunExperiment:
@@ -440,7 +563,7 @@ class TestCli:
     def test_negative_seed_override_names_key(self, small_config, tmp_path, capsys):
         out = tmp_path / "results"
         assert cli.main(["run", "--config", str(small_config), "--out", str(out), "--seed", "-3"]) == 1
-        assert "seed must be a non-negative integer, got -3" in capsys.readouterr().err
+        assert "error: seed must be at least 0, got -3" in capsys.readouterr().err
         assert not out.exists()
 
     def test_env_var_sets_output_dir_and_flag_wins(self, small_config, tmp_path, monkeypatch):

@@ -254,18 +254,21 @@ def test_best_epoch_selection_prefers_earlier_ties():
 
 def test_train_config_rejects_non_finite_learning_rate():
     for bad in (float("inf"), float("nan"), 0.0, -0.1):
-        with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+        with pytest.raises(ValueError, match="^learning_rate must be (finite|positive)"):
             TrainConfig(learning_rate=bad)
 
 
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        (dict(hidden_sizes=(2.7,)), "hidden layer sizes must be integers, got (2.7,)"),
-        (dict(hidden_sizes=(4, True)), "hidden layer sizes must be integers, got (4, True)"),
+        (dict(hidden_sizes=(2.7,)), "hidden_sizes must be a list of positive integers, got (2.7,)"),
+        (dict(hidden_sizes=(4, True)), "hidden_sizes must be a list of positive integers, got (4, True)"),
         (dict(epochs=2.5), "epochs must be an integer, got 2.5"),
         (dict(epochs=True), "epochs must be an integer, got True"),
         (dict(batch_size=2.5), "batch_size must be an integer, got 2.5"),
+        (dict(learning_rate=True), "learning_rate must be a number, got True"),
+        (dict(learning_rate="0.05"), "learning_rate must be a number, got '0.05'"),
+        (dict(hidden_sizes=16), "hidden_sizes must be a list of positive integers, got 16"),
     ],
 )
 def test_train_config_rejects_non_integer_sizes(kwargs, message):
@@ -274,7 +277,7 @@ def test_train_config_rejects_non_integer_sizes(kwargs, message):
     assert str(excinfo.value) == message
 
 
-def test_train_rejects_mismatched_lambdas_and_empty_val():
+def test_train_rejects_mismatched_lambdas():
     rng = np.random.default_rng(7)
     dataset = tiny_dataset(rng, n=12)
     config = TrainConfig(epochs=4)

@@ -132,6 +132,7 @@ def test_epoch_out_of_range_rejected():
         dict(kind="linear", switch_epoch=True),
         dict(kind="exponential", switch_epoch=10, exp_floor=0.0),
         dict(kind="exponential", switch_epoch=10, exp_floor=1.0),
+        dict(kind="exponential", switch_epoch=10, exp_floor="x"),
     ],
 )
 def test_invalid_specs_rejected(kwargs):

@@ -8,13 +8,12 @@ import sys
 from pathlib import Path
 
 
-def whole(value, name: str, least: int) -> int:
-    """``value`` if it is an int (not a bool) of at least ``least``."""
+def whole(value, name: str, least: int) -> None:
+    """Check that ``value`` is an int (not a bool) of at least ``least``."""
     if type(value) is not int:  # bool is a subclass of int
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
-    return value
 
 
 def wholes(value, name: str, three: bool = False) -> tuple[int, ...]:

@@ -54,6 +54,8 @@ class Arm:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ValueError(f"name must be a non-empty string, got {self.name!r}")
+        if not isinstance(self.spec, SchedulerSpec):
+            raise ValueError(f"spec must be a SchedulerSpec, got {self.spec!r}")
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,13 @@ class ExperimentConfig:
     echo: dict | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.train, TrainConfig):
+            raise ValueError(f"train must be a TrainConfig, got {self.train!r}")
+        if not (isinstance(self.arms, (list, tuple)) and self.arms and all(isinstance(a, Arm) for a in self.arms)):
+            raise ValueError(f"arms must be a non-empty list of Arm, got {self.arms!r}")
+        object.__setattr__(self, "arms", tuple(self.arms))
+        if not isinstance(self.synth, SynthConfig | None):
+            raise ValueError(f"synth must be a SynthConfig or None, got {self.synth!r}")
         object.__setattr__(self, "out_dir", file_path(self.out_dir, "out_dir"))
         whole(self.k, "k", 2)
         object.__setattr__(self, "val_fraction", real(self.val_fraction, "val_fraction"))
@@ -79,8 +88,6 @@ class ExperimentConfig:
             object.__setattr__(self, "csv_path", file_path(self.csv_path, "csv_path"))
         if (self.synth is None) == (self.csv_path is None):
             raise ValueError("config needs exactly one data source (synthetic or csv)")
-        if not self.arms:
-            raise ValueError("config needs at least one arm")
         names = [arm.name for arm in self.arms]
         if len(set(names)) != len(names):
             raise ValueError(f"arm names must be unique, got {names}")

@@ -91,14 +91,35 @@ def init(layer_sizes, seed: int) -> ModelParams:
     return ModelParams(sizes, weights, biases)
 
 
-def _forward(params: ModelParams, x: np.ndarray):
-    """Batch forward pass; returns final scores plus each layer's input."""
+class Workspace:
+    """Buffers that one SGD step fills in place, for batches of up to ``rows``
+    samples: each hidden layer's activations, rectifier masks and deltas, and
+    each layer's weight and bias gradients. A shorter batch uses leading rows."""
+
+    def __init__(self, params: ModelParams, rows: int):
+        hidden = params.layer_sizes[1:-1]
+        self.activations = [np.empty((rows, width)) for width in hidden]
+        self.masks = [np.empty((rows, width)) for width in hidden]
+        self.deltas = [np.empty((rows, width)) for width in hidden]
+        self.weight_grads = [np.empty_like(w) for w in params.weights]
+        self.bias_grads = [np.empty_like(b) for b in params.biases]
+
+
+def _forward(params: ModelParams, x: np.ndarray, workspace: Workspace | None = None):
+    """Batch forward pass; returns final scores plus each layer's input.
+
+    The hidden layers go into ``workspace``'s activation buffers, or into
+    fresh arrays without one.
+    """
     activations = [x]
     h = x
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = np.maximum(h @ w.T + b, 0.0)
+    for l, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
+        h = np.matmul(h, w.T, out=None if workspace is None else workspace.activations[l][: len(x)])
+        h += b
+        np.maximum(h, 0.0, out=h)
         activations.append(h)
-    scores = h @ params.weights[-1].T + params.biases[-1]
+    scores = h @ params.weights[-1].T
+    scores += params.biases[-1]
     return scores, activations
 
 
@@ -110,22 +131,28 @@ def predict_proba_batch(params: ModelParams, features: np.ndarray) -> np.ndarray
     return softmax(_forward(params, x)[0])
 
 
-def _backward(params: ModelParams, score_grad: np.ndarray, activations):
+def _backward(params: ModelParams, score_grad: np.ndarray, activations, workspace: Workspace | None = None):
     """Gradients of the batch loss w.r.t. every weight and bias.
 
     ``score_grad`` is d(loss)/d(scores) for the whole batch, already scaled
     by 1/batch_size. The rectifier mask is ``max(z, 0) > 0``, which holds
-    exactly where ``z > 0``, so no pre-activation needs keeping.
+    exactly where ``z > 0``, so no pre-activation needs keeping. The
+    gradients are written into ``workspace`` (a fresh one without it),
+    whose gradient lists are returned.
     """
-    weight_grads = [None] * len(params.weights)
-    bias_grads = [None] * len(params.biases)
+    rows = len(score_grad)
+    if workspace is None:
+        workspace = Workspace(params, rows)
     delta = score_grad
     for l in range(len(params.weights) - 1, -1, -1):
-        weight_grads[l] = delta.T @ activations[l]
-        bias_grads[l] = delta.sum(axis=0)
+        np.matmul(delta.T, activations[l], out=workspace.weight_grads[l])
+        delta.sum(axis=0, out=workspace.bias_grads[l])
         if l > 0:
-            delta = (delta @ params.weights[l]) * (activations[l] > 0.0)
-    return weight_grads, bias_grads
+            delta = np.matmul(delta, params.weights[l], out=workspace.deltas[l - 1][:rows])
+            # The mask as 1.0/0.0 floats: the same products as a bool mask,
+            # without the cast buffer a bool operand costs.
+            delta *= np.greater(activations[l], 0.0, out=workspace.masks[l - 1][:rows])
+    return workspace.weight_grads, workspace.bias_grads
 
 
 def train_epoch(
@@ -134,13 +161,17 @@ def train_epoch(
     lam: float,
     config: TrainConfig,
     rng: np.random.Generator,
+    workspace: Workspace | None = None,
 ) -> float:
     """One shuffled pass of minibatch SGD at curriculum weight ``lam``.
 
     Updates ``params`` in place and returns the mean per-sample blended
-    loss over the epoch.
+    loss over the epoch. Each step fills ``workspace`` (by default a fresh
+    one for batches of ``min(batch_size, len(train_set))`` rows).
     """
     n = len(train_set)
+    if workspace is None:
+        workspace = Workspace(params, min(config.batch_size, n))
     order = rng.permutation(n)
     # One gather per epoch; each batch is then a contiguous slice of it.
     features = train_set.features[order]
@@ -149,13 +180,17 @@ def train_epoch(
     for start in range(0, n, config.batch_size):
         x = features[start : start + config.batch_size]
         y = labels[start : start + config.batch_size]
-        scores, activations = _forward(params, x)
+        scores, activations = _forward(params, x, workspace)
         losses, grads = batch_combined_loss_grad(scores, y, lam)
         total_loss += float(losses.sum())
-        weight_grads, bias_grads = _backward(params, grads / len(y), activations)
-        for w, b, dw, db in zip(params.weights, params.biases, weight_grads, bias_grads):
-            w -= config.learning_rate * dw
-            b -= config.learning_rate * db
+        grads /= len(y)
+        _backward(params, grads, activations, workspace)
+        # dw * lr is the same IEEE product as lr * dw.
+        for w, b, dw, db in zip(params.weights, params.biases, workspace.weight_grads, workspace.bias_grads):
+            dw *= config.learning_rate
+            w -= dw
+            db *= config.learning_rate
+            b -= db
     return total_loss / n
 
 
@@ -197,8 +232,9 @@ def train(
     best_epoch = -1
     epoch_losses: list[float] = []
     val_scores: list[float] = []
+    workspace = Workspace(params, min(config.batch_size, len(train_set)))
     for epoch, lam in enumerate(lambdas):
-        epoch_losses.append(train_epoch(params, train_set, lam, config, rng))
+        epoch_losses.append(train_epoch(params, train_set, lam, config, rng, workspace))
         probs = predict_proba_batch(params, val_set.features)
         score = mean_recall(np.argmax(probs, axis=1), val_set.labels)
         val_scores.append(score)

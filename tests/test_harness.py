@@ -320,6 +320,28 @@ def test_experiment_config_and_arm_reject_bad_values(build, kwargs, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize(
+    "build, kwargs, message",
+    [
+        (experiment_config, dict(train=3), "train must be a TrainConfig, got 3"),
+        (experiment_config, dict(arms=5), "arms must be a non-empty list of Arm, got 5"),
+        (experiment_config, dict(arms=(3,)), "arms must be a non-empty list of Arm, got (3,)"),
+        (experiment_config, dict(arms=[]), "arms must be a non-empty list of Arm, got []"),
+        (experiment_config, dict(arms="step"), "arms must be a non-empty list of Arm, got 'step'"),
+        (experiment_config, dict(synth=3), "synth must be a SynthConfig or None, got 3"),
+        (Arm, dict(name="x", spec=3), "spec must be a SchedulerSpec, got 3"),
+    ],
+)
+def test_nested_config_fields_are_type_checked(build, kwargs, message):
+    with pytest.raises(ValueError) as excinfo:
+        build(**kwargs)
+    assert str(excinfo.value) == message
+
+
+def test_arms_list_is_stored_as_tuple():
+    assert experiment_config(arms=[Arm("step", SPEC)]).arms == (Arm("step", SPEC),)
+
+
 def test_config_dataclasses_store_floats_and_paths():
     config = experiment_config(out_dir="x", synth=None, csv_path="data.csv")
     assert config.out_dir == Path("x") and config.csv_path == Path("data.csv")

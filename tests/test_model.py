@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from curricula.metrics import accuracy
 from curricula.model import (
     ModelParams,
     TrainConfig,
+    Workspace,
     init,
     predict_proba_batch,
     train,
@@ -211,6 +214,27 @@ def test_zero_weight_training_equals_plain_cross_entropy():
             np.testing.assert_array_equal(w_a, w_b)
         for b_a, b_b in zip(ours.biases, reference.biases):
             np.testing.assert_array_equal(b_a, b_b)
+
+
+def test_epoch_with_a_workspace_allocates_only_its_gather():
+    rng = np.random.default_rng(8)
+    dataset = tiny_dataset(rng, n=1920, dim=32)
+    config = TrainConfig(batch_size=128, hidden_sizes=(256, 256))
+    params = init([32, 256, 256, 3], seed=2)
+    workspace = Workspace(params, config.batch_size)
+    train_epoch(params, dataset, 0.5, config, rng, workspace)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        train_epoch(params, dataset, 0.5, config, rng, workspace)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # The epoch gathers its shuffled features and labels once. Beyond that only
+    # small per-step arrays may live; one 128 x 256 float64 temporary (256 KiB)
+    # already breaks the bound.
+    gather = dataset.features.nbytes + dataset.labels.nbytes
+    assert peak < gather + 128 * 1024, (peak, gather)
 
 
 def test_training_is_deterministic():

@@ -5,6 +5,8 @@ scalar ``combined_loss``/``combined_loss_grad``, and ``Dataset.subset``
 must slice exactly what a plain id->row dict lookup would. The CSV
 writers must write the same bytes as ``csv.writer`` row by row, and
 ``stratified_kfold`` must keep its fold contract for any class counts.
+An SGD epoch that fills a reused workspace must be bit-equal to one that
+allocates fresh arrays at every step.
 """
 
 import csv
@@ -32,6 +34,7 @@ from curricula.losses import (
     combined_loss_grad,
     softmax,
 )
+from curricula.model import TrainConfig, Workspace, init, train_epoch
 
 # Differences of a few hundred between scores push softmax outputs far
 # below PROB_FLOOR, down to exact zeros.
@@ -307,3 +310,69 @@ def test_fold_contract(k, extra, val_fraction, seed, rnd):
             assert abs(val_c - val_fraction * remaining) <= 1
             assert abs(train_c - (1 - val_fraction) * remaining) <= 1
     assert sorted(tested) == sorted(ids)
+
+
+def fresh_array_epoch(params, train_set, lam, config, rng):
+    """The SGD epoch with fresh arrays for every step's activations, deltas,
+    gradients and update: the oracle a workspace epoch must match bit for bit."""
+    n = len(train_set)
+    order = rng.permutation(n)
+    features = train_set.features[order]
+    labels = train_set.labels[order]
+    total_loss = 0.0
+    for start in range(0, n, config.batch_size):
+        x = features[start : start + config.batch_size]
+        y = labels[start : start + config.batch_size]
+        activations = [x]
+        h = x
+        for w, b in zip(params.weights[:-1], params.biases[:-1]):
+            h = np.maximum(h @ w.T + b, 0.0)
+            activations.append(h)
+        scores = h @ params.weights[-1].T + params.biases[-1]
+        losses, grads = batch_combined_loss_grad(scores, y, lam)
+        total_loss += float(losses.sum())
+        delta = grads / len(y)
+        weight_grads, bias_grads = [None] * len(params.weights), [None] * len(params.biases)
+        for l in range(len(params.weights) - 1, -1, -1):
+            weight_grads[l] = delta.T @ activations[l]
+            bias_grads[l] = delta.sum(axis=0)
+            if l > 0:
+                delta = (delta @ params.weights[l]) * (activations[l] > 0.0)
+        for w, b, dw, db in zip(params.weights, params.biases, weight_grads, bias_grads):
+            w -= config.learning_rate * dw
+            b -= config.learning_rate * db
+    return total_loss / n
+
+
+@st.composite
+def sgd_runs(draw):
+    batch_size = draw(st.integers(2, 12))
+    # n is never a multiple of batch_size, so every epoch ends on a short
+    # batch; n < batch_size makes that batch the only one.
+    n = draw(st.integers(0, 4)) * batch_size + draw(st.integers(1, batch_size - 1))
+    sizes = [draw(st.integers(1, 5)), *draw(st.lists(st.integers(1, 8), max_size=2)), 3]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    features = rng.normal(size=(n, sizes[0]))
+    # All-zero rows meet zero initial biases: exactly-zero pre-activations
+    # pin the rectifier mask at z == 0.
+    features[rng.random(n) < 0.2] = 0.0
+    train_set = Dataset(features, rng.integers(3, size=n), np.arange(n))
+    config = TrainConfig(learning_rate=draw(st.floats(0.01, 2.0)), batch_size=batch_size, hidden_sizes=tuple(sizes[1:-1]))
+    lambdas = draw(st.lists(LAM, min_size=2, max_size=3))
+    return sizes, train_set, config, lambdas, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None)
+@given(sgd_runs())
+def test_workspace_epochs_are_bit_equal_to_fresh_arrays(run):
+    sizes, train_set, config, lambdas, seed = run
+    ours = init(sizes, seed=seed)
+    reference = ours.copy()
+    workspace = Workspace(ours, min(config.batch_size, len(train_set)))
+    ours_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for lam in lambdas:
+        ours_loss = train_epoch(ours, train_set, lam, config, ours_rng, workspace)
+        assert ours_loss == fresh_array_epoch(reference, train_set, lam, config, reference_rng)
+    for a, b in zip(ours.weights + ours.biases, reference.weights + reference.biases):
+        np.testing.assert_array_equal(a, b)
+        assert a.tobytes() == b.tobytes()

@@ -30,6 +30,7 @@ from ._checks import real, whole, wholes
 
 #: The fine labels; every module takes the class set from here.
 CLASSES = (0, 1, 2)
+_CLASS_ROW = np.array(CLASSES)
 _MAX_ID = np.iinfo(np.int64).max
 # Rows converted to Python numbers at a time by the CSV writers: large enough
 # to amortise the numpy calls, small enough to keep the lists out of peak memory.
@@ -38,6 +39,18 @@ _CHUNK_ROWS = 4096
 
 class ParseError(ValueError):
     """A data file that does not match the documented format."""
+
+
+def class_onehot(labels: np.ndarray) -> np.ndarray:
+    """The (n, 3) bool one-hot of the 1-D ``labels``; raises unless each is 0, 1 or 2.
+
+    One comparison serves every dtype: -1, 3, 255, 1.5 and NaN match no class,
+    and bools match 0 and 1.
+    """
+    onehot = labels[:, None] == _CLASS_ROW
+    if np.count_nonzero(onehot) != len(labels):
+        raise ValueError("labels must be 0, 1, or 2")
+    return onehot
 
 
 def _has_repeats(ids: np.ndarray) -> bool:
@@ -61,7 +74,7 @@ class Dataset:
 
     def __post_init__(self) -> None:
         features = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
-        labels = np.asarray(self.labels, dtype=np.int64).copy()
+        labels = np.asarray(self.labels)
         ids = np.asarray(self.ids, dtype=np.int64).copy()
         if features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {features.shape}")
@@ -74,8 +87,9 @@ class Dataset:
             raise ValueError("features, labels, and ids must have matching lengths")
         if not np.all(np.isfinite(features)):
             raise ValueError("features must be finite")
-        if not np.isin(labels, CLASSES).all():
-            raise ValueError("labels must be 0, 1, or 2")
+        # The raw labels, before the cast: as int64, 1.5 would pass as 1.
+        class_onehot(labels)
+        labels = labels.astype(np.int64)
         if (ids < 0).any():
             raise ValueError("ids must be non-negative")
         if _has_repeats(ids):

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .data import CLASSES
+from .data import CLASSES, class_onehot
 
 #: Probabilities are clamped to this floor (and 1 minus it) inside log terms.
 PROB_FLOOR = 1e-12
@@ -120,22 +120,8 @@ def combined_loss_grad(scores, y: int, lam: float) -> np.ndarray:
     return lam * grad_easy + (1.0 - lam) * grad_hard
 
 
-def _clamp_array(p: np.ndarray) -> np.ndarray:
-    # minimum(maximum(...)) is what _clamp does, without np.clip's overhead.
-    return np.minimum(np.maximum(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
-
-
-def _check_fine_labels(labels: np.ndarray) -> np.ndarray:
-    """Fine labels as int64 indices; raises unless each is 0, 1 or 2."""
-    if labels.dtype.kind in "iu":
-        # Integers need only a range check, which min/max do in one pass each.
-        ok = labels.size == 0 or (labels.min() >= 0 and labels.max() <= 2)
-    else:
-        # Floats (1.5 must fail) and bools keep the exact membership test.
-        ok = np.isin(labels, CLASSES).all()
-    if not ok:
-        raise ValueError("labels must be 0, 1, or 2")
-    return labels.astype(np.int64, copy=False)
+#: onehot(0) as a row: ``_CLASS_0 - p`` is ``onehot(0) - p`` for every row.
+_CLASS_0 = np.array([1.0, 0.0, 0.0])
 
 
 def batch_combined_loss_grad(scores: np.ndarray, labels: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -159,27 +145,45 @@ def batch_combined_loss_grad(scores: np.ndarray, labels: np.ndarray, lam: float)
     n = labels.shape[0]
     if scores.shape != (n, 3):
         raise ValueError(f"expected scores of shape ({n}, 3), got {scores.shape}")
-    if not np.isfinite(scores).all():
+    if np.count_nonzero(np.isfinite(scores)) != scores.size:
         raise ValueError("scores must be finite")
-    labels = _check_fine_labels(labels)
-    rows = np.arange(n)
-    coarse = labels != 0
+    onehot = class_onehot(labels)
+    is_0 = onehot[:, 0]
 
-    p = softmax(scores)
+    # softmax() written out for three columns, without its reduction calls:
+    # (e0 + e1) + e2 is the order numpy sums a 3-wide row in, so p is bit-equal.
+    row_max = np.maximum(np.maximum(scores[:, 0], scores[:, 1]), scores[:, 2])
+    p = scores - row_max[:, None]
+    np.exp(p, out=p)
     p0 = p[:, 0]
-    hard = -np.log(_clamp_array(p[rows, labels]))
-    easy = -np.log(_clamp_array(np.where(coarse, 1.0 - p0, p0)))
-    losses = lam * easy + (1.0 - lam) * hard
+    total = p0 + p[:, 1]
+    total += p[:, 2]
+    p /= total[:, None]
 
-    # p - onehot(y), written as a copy of p with 1 taken off at y.
-    grad_hard = p.copy()
-    grad_hard[rows, labels] -= 1.0
-    # onehot(0) - p; 0.0 - p keeps +0.0 where p is 0, as the scalar op does.
-    to_class_0 = 0.0 - p
-    to_class_0[:, 0] = 1.0 - p0
-    ratio = p0 / np.maximum(1.0 - p0, PROB_FLOOR)
-    # For label 0 the easy gradient p - onehot(0) is grad_hard itself.
-    grad_easy = np.where(coarse[:, None], ratio[:, None] * to_class_0, grad_hard)
+    # Row 0 holds p[y], row 1 the coarse probability: 1 - p0, or p0 at label 0.
+    terms = np.empty((2, n))
+    terms[0] = p[onehot]
+    rest = np.subtract(1.0, p0, out=terms[1])
+    # Clamp the denominator like the loss does; at the floor the loss is flat
+    # but the unclamped direction is kept.
+    ratio = p0 / np.maximum(rest, PROB_FLOOR)
+    np.copyto(rest, p0, where=is_0)
+    np.maximum(terms, PROB_FLOOR, out=terms)
+    np.minimum(terms, 1.0 - PROB_FLOOR, out=terms)
+    np.log(terms, out=terms)
+    # -(1 - lam) * log is (1 - lam) * -log exactly: negation is exact.
+    terms *= np.array([[-(1.0 - lam)], [-lam]])
+    losses = terms[1] + terms[0]
 
-    grads = lam * grad_easy + (1.0 - lam) * grad_hard
+    # p - onehot(y): the bool one-hot casts to exact 1.0 and 0.0.
+    grads = p - onehot
+    # onehot(0) - p, over p; the 0.0 - p it takes keeps +0.0 where p is 0, as
+    # the scalar op does.
+    grad_easy = np.subtract(_CLASS_0, p, out=p)
+    grad_easy *= ratio[:, None]
+    # For label 0 the easy gradient p - onehot(0) is the hard one itself.
+    np.copyto(grad_easy, grads, where=is_0[:, None])
+    grad_easy *= lam
+    grads *= 1.0 - lam
+    grads += grad_easy
     return losses, grads

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CLASSES
+from .data import CLASSES, class_onehot
 
 #: Column order used in reports and CSV files.
 METRIC_NAMES = ("accuracy", "balanced_accuracy", "average_auc", "binary_accuracy", "binary_auc")
@@ -39,7 +39,7 @@ class MetricsReport:
 
 def _check_inputs(probs, labels) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(probs, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    y = np.asarray(labels)
     if p.ndim != 2 or p.shape[1] != 3:
         raise ValueError(f"probs must have shape (n, 3), got {p.shape}")
     if y.shape != (p.shape[0],):
@@ -48,9 +48,9 @@ def _check_inputs(probs, labels) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need at least one sample")
     if not np.all(np.isfinite(p)):
         raise ValueError("probabilities must be finite")
-    if not np.isin(y, CLASSES).all():
-        raise ValueError("labels must be 0, 1, or 2")
-    return p, y
+    # The raw labels, before any cast: as int64, 1.5 would pass as 1.
+    class_onehot(y)
+    return p, y.astype(np.int64, copy=False)
 
 
 def accuracy(probs, labels) -> float:
@@ -63,13 +63,16 @@ def mean_recall(pred_labels: np.ndarray, true_labels: np.ndarray) -> float:
     """Mean per-class recall over the classes present in ``true_labels``.
 
     Model selection scores validation sets with this directly, so a class
-    missing from a small validation set is skipped rather than fatal.
+    missing from a small validation set is skipped rather than fatal. The
+    labels are non-negative integers; there must be at least one.
     """
-    recalls = []
-    for c in np.unique(true_labels):
-        mask = true_labels == c
-        recalls.append(float(np.mean(pred_labels[mask] == c)))
-    return float(np.mean(recalls))
+    if len(true_labels) == 0:
+        raise ValueError("need at least one sample")
+    counts = np.bincount(true_labels)
+    hits = np.bincount(true_labels, weights=pred_labels == true_labels)
+    present = counts > 0
+    # Exact whole-number hits over counts: each recall is the per-class mean.
+    return float(np.mean(hits[present] / counts[present]))
 
 
 def balanced_accuracy(probs, labels) -> float:

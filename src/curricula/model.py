@@ -34,17 +34,31 @@ class TrainConfig:
         object.__setattr__(self, "hidden_sizes", wholes(self.hidden_sizes, "hidden_sizes"))
 
 
+def _layer_views(flat: np.ndarray, sizes: tuple[int, ...]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each layer's weight and bias as views of ``flat``, layer by layer, weights first."""
+    weights, biases, start = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[start : start + fan_out * fan_in].reshape(fan_out, fan_in))
+        start += fan_out * fan_in
+        biases.append(flat[start : start + fan_out])
+        start += fan_out
+    return weights, biases
+
+
 @dataclass
 class ModelParams:
-    """Per-layer weight matrices and bias vectors.
+    """Per-layer weight matrices and bias vectors in one flat buffer.
 
     ``weights[l]`` has shape (layer_sizes[l+1], layer_sizes[l]) and acts on
-    column features from the left; the final layer is always 3 wide.
+    column features from the left; the final layer is always 3 wide. The
+    constructor copies the given arrays into ``flat`` and keeps views of it,
+    so one in-place operation on ``flat`` updates every layer.
     """
 
     layer_sizes: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         sizes = tuple(int(s) for s in self.layer_sizes)
@@ -67,17 +81,19 @@ class ModelParams:
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {l} parameters must be finite")
         self.layer_sizes = sizes
+        self.flat = np.empty(sum(w.size + b.size for w, b in zip(self.weights, self.biases)))
+        weights, biases = _layer_views(self.flat, sizes)
+        for view, array in zip(weights + biases, [*self.weights, *self.biases]):
+            view[...] = array
+        self.weights, self.biases = weights, biases
 
     @property
     def input_dim(self) -> int:
         return self.layer_sizes[0]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.layer_sizes,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        """An independent copy: the constructor copies into a new buffer."""
+        return ModelParams(self.layer_sizes, self.weights, self.biases)
 
 
 def init(layer_sizes, seed: int) -> ModelParams:
@@ -94,15 +110,16 @@ def init(layer_sizes, seed: int) -> ModelParams:
 class Workspace:
     """Buffers that one SGD step fills in place, for batches of up to ``rows``
     samples: each hidden layer's activations, rectifier masks and deltas, and
-    each layer's weight and bias gradients. A shorter batch uses leading rows."""
+    each layer's weight and bias gradients, which are views of one ``grads``
+    buffer laid out like ``ModelParams.flat``. A shorter batch uses leading rows."""
 
     def __init__(self, params: ModelParams, rows: int):
         hidden = params.layer_sizes[1:-1]
         self.activations = [np.empty((rows, width)) for width in hidden]
         self.masks = [np.empty((rows, width)) for width in hidden]
         self.deltas = [np.empty((rows, width)) for width in hidden]
-        self.weight_grads = [np.empty_like(w) for w in params.weights]
-        self.bias_grads = [np.empty_like(b) for b in params.biases]
+        self.grads = np.empty_like(params.flat)
+        self.weight_grads, self.bias_grads = _layer_views(self.grads, params.layer_sizes)
 
 
 def _forward(params: ModelParams, x: np.ndarray, workspace: Workspace | None = None):
@@ -185,12 +202,9 @@ def train_epoch(
         total_loss += float(losses.sum())
         grads /= len(y)
         _backward(params, grads, activations, workspace)
-        # dw * lr is the same IEEE product as lr * dw.
-        for w, b, dw, db in zip(params.weights, params.biases, workspace.weight_grads, workspace.bias_grads):
-            dw *= config.learning_rate
-            w -= dw
-            db *= config.learning_rate
-            b -= db
+        # dw * lr is the same IEEE product as lr * dw, element by element.
+        workspace.grads *= config.learning_rate
+        params.flat -= workspace.grads
     return total_loss / n
 
 
@@ -219,7 +233,9 @@ def train(
     After each epoch the validation balanced accuracy (mean per-class
     recall) is computed; the parameters with the best score are kept, ties
     going to the earlier epoch. ``params`` itself ends up in the
-    final-epoch state; the returned snapshot is an independent copy.
+    final-epoch state; the returned snapshot is an independent copy. A
+    ``ValueError`` raised in an epoch (non-finite scores or parameters) is
+    re-raised with ``epoch {e}: `` in front.
     """
     lambdas = list(lambdas)
     if len(lambdas) != config.epochs:
@@ -234,14 +250,17 @@ def train(
     val_scores: list[float] = []
     workspace = Workspace(params, min(config.batch_size, len(train_set)))
     for epoch, lam in enumerate(lambdas):
-        epoch_losses.append(train_epoch(params, train_set, lam, config, rng, workspace))
-        probs = predict_proba_batch(params, val_set.features)
-        score = mean_recall(np.argmax(probs, axis=1), val_set.labels)
-        val_scores.append(score)
-        if score > best_score:
-            best_score = score
-            best_epoch = epoch
-            best_params = params.copy()
+        try:
+            epoch_losses.append(train_epoch(params, train_set, lam, config, rng, workspace))
+            probs = predict_proba_batch(params, val_set.features)
+            score = mean_recall(np.argmax(probs, axis=1), val_set.labels)
+            val_scores.append(score)
+            if score > best_score:
+                best_score = score
+                best_epoch = epoch
+                best_params = params.copy()
+        except ValueError as e:
+            raise ValueError(f"epoch {epoch}: {e}") from e
     return TrainResult(
         params=best_params,
         best_epoch=best_epoch,

@@ -42,6 +42,9 @@ class TestDataset:
     def test_validation(self):
         with pytest.raises(ValueError):
             Dataset(np.ones((2, 2)), np.array([0, 3]), np.array([0, 1]))  # bad label
+        for bad in (1.5, np.nan):  # checked before the int64 cast
+            with pytest.raises(ValueError, match="^labels must be 0, 1, or 2$"):
+                Dataset(np.ones((2, 2)), np.array([0, bad]), np.array([0, 1]))
         with pytest.raises(ValueError):
             Dataset(np.ones((2, 2)), np.array([0, 1]), np.array([1, 1]))  # duplicate ids
         with pytest.raises(ValueError):

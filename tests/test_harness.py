@@ -508,6 +508,15 @@ class TestRunExperiment:
             run_experiment(config)
 
 
+    def test_divergence_names_fold_arm_and_epoch(self):
+        config = parse_config(Path(__file__).parent / "golden" / "config.yaml")
+        config = dataclasses.replace(config, train=dataclasses.replace(config.train, learning_rate=1e6))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ExperimentError) as excinfo:
+                run_experiment(config)
+        assert str(excinfo.value) == "fold 0, arm 'constant_zero': epoch 5: scores must be finite"
+
+
 class TestRenderReport:
     def test_csv_layout_and_order(self, small_config, tmp_path):
         report = run_experiment(parse_config(small_config))

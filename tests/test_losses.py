@@ -170,3 +170,24 @@ def test_batch_input_validation():
         batch_combined_loss_grad(np.zeros((2, 2)), np.array([0, 1]), 0.5)
     with pytest.raises(ValueError):
         batch_combined_loss_grad(np.full((2, 3), np.nan), np.array([0, 1]), 0.5)
+    # One non-finite score anywhere fails. A row like [-inf, 0.3, 1.2] has a
+    # finite softmax, so only a check on the scores themselves catches it.
+    for bad in (np.nan, np.inf, -np.inf):
+        for row in range(3):
+            for col in range(3):
+                scores = np.random.default_rng(3 * row + col).normal(size=(3, 3))
+                scores[row, col] = bad
+                with pytest.raises(ValueError, match="^scores must be finite$"):
+                    batch_combined_loss_grad(scores, np.array([0, 1, 2]), 0.5)
+    # The one-hot label check, for every dtype it covers; bools pass as 0 and 1.
+    for labels in (
+        np.array([0, -1, 2], dtype=np.int8),
+        np.array([0, 255, 2], dtype=np.uint8),
+        np.array([0, 3, 2]),
+        np.array([0.0, 1.5, 2.0]),
+        np.array([0.0, np.nan, 2.0]),
+    ):
+        with pytest.raises(ValueError, match="^labels must be 0, 1, or 2$"):
+            batch_combined_loss_grad(np.zeros((3, 3)), labels, 0.5)
+    losses, grads = batch_combined_loss_grad(np.zeros((3, 3)), np.array([True, False, True]), 0.5)
+    assert losses.shape == (3,) and grads.shape == (3, 3)

@@ -87,6 +87,10 @@ class TestMeanRecall:
             probs = random_probs(rng, n)
             assert mean_recall(np.argmax(probs, axis=1), labels) == balanced_accuracy(probs, labels)
 
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one sample$"):
+            mean_recall(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+
     def test_model_selection_uses_the_same_definition(self):
         import curricula.metrics
         import curricula.model
@@ -228,6 +232,15 @@ def test_all_metrics_in_unit_interval():
         for name in METRIC_NAMES:
             assert 0.0 <= getattr(report, name) <= 1.0
         assert report.n_samples == n
+
+
+@pytest.mark.parametrize("metric", [accuracy, balanced_accuracy, average_auc, binary_task_metrics, evaluate])
+@pytest.mark.parametrize("bad", [1.5, np.nan, -1, 3])
+def test_labels_outside_the_classes_rejected_before_any_cast(metric, bad):
+    # As int64, 1.5 would pass as 1 and NaN would warn in the cast.
+    labels = np.array([0, bad, 2, 1, 0, 2])
+    with pytest.raises(ValueError, match="^labels must be 0, 1, or 2$"):
+        metric(np.full((6, 3), 1 / 3), labels)
 
 
 def test_report_validation():

@@ -62,6 +62,31 @@ def test_params_validation():
         ModelParams((2, 3), [np.full((3, 2), np.nan)], [np.zeros(3)])
 
 
+def test_params_live_in_one_flat_buffer_and_copies_are_independent():
+    weights, biases = [np.ones((4, 2)), np.full((3, 4), 2.0)], [np.zeros(4), np.full(3, 3.0)]
+    params = ModelParams((2, 4, 3), weights, biases)
+    # The constructor copies, weights before biases, layer by layer.
+    np.testing.assert_array_equal(params.flat, [1.0] * 8 + [0.0] * 4 + [2.0] * 12 + [3.0] * 3)
+    weights[0][0, 0] = 9.0
+    assert params.weights[0][0, 0] == 1.0
+    params.flat += 1.0
+    assert params.weights[1][0, 0] == 3.0 and params.biases[1][0] == 4.0
+    copy = params.copy()
+    before = params.flat.copy()
+    copy.weights[0][0, 0] = -5.0
+    copy.biases[1] += 7.0
+    assert params.flat.tobytes() == before.tobytes()
+    assert copy.flat[0] == -5.0 and copy.flat[-1] == 11.0
+
+
+def test_workspace_gradients_live_in_one_buffer_shaped_like_the_params():
+    params = init([2, 4, 3], seed=0)
+    workspace = Workspace(params, 5)
+    assert workspace.grads.shape == params.flat.shape
+    for grad, param in zip(workspace.weight_grads + workspace.bias_grads, params.weights + params.biases):
+        assert grad.shape == param.shape and np.shares_memory(grad, workspace.grads)
+
+
 def test_zero_params_predict_uniform():
     params = ModelParams((5, 3), [np.zeros((3, 5))], [np.zeros(3)])
     np.testing.assert_allclose(predict_proba_batch(params, np.ones((1, 5)))[0], [1 / 3] * 3, atol=0)
@@ -309,3 +334,24 @@ def test_train_rejects_mismatched_lambdas():
     with pytest.raises(ValueError):
         train(params, dataset, dataset, [0.0] * 3, config, np.random.default_rng(0))
 
+
+
+def test_divergence_names_the_epoch():
+    rng = np.random.default_rng(7)
+    dataset = tiny_dataset(rng, n=40)
+    config = TrainConfig(learning_rate=1e10, epochs=8, batch_size=8, hidden_sizes=(4,))
+    # The oracle: the first epoch whose steps raise, found epoch by epoch.
+    params, shuffle = init([3, 4, 3], seed=1), np.random.default_rng(2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first_bad in range(config.epochs):
+            try:
+                train_epoch(params, dataset, 0.5, config, shuffle)
+            except ValueError as e:
+                assert str(e) == "scores must be finite"
+                break
+        else:
+            raise AssertionError("the learning rate never drove the scores non-finite")
+        assert first_bad > 0
+        with pytest.raises(ValueError) as excinfo:
+            train(init([3, 4, 3], seed=1), dataset, dataset, [0.5] * 8, config, np.random.default_rng(2))
+    assert str(excinfo.value) == f"epoch {first_bad}: scores must be finite"

@@ -6,7 +6,7 @@ must slice exactly what a plain id->row dict lookup would. The CSV
 writers must write the same bytes as ``csv.writer`` row by row, and
 ``stratified_kfold`` must keep its fold contract for any class counts.
 An SGD epoch that fills a reused workspace must be bit-equal to one that
-allocates fresh arrays at every step.
+allocates fresh arrays at every step, and ``mean_recall`` to a per-class loop.
 """
 
 import csv
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from curricula.data import (
+    CLASSES,
     Dataset,
     FoldPartition,
     load_csv,
@@ -34,6 +35,7 @@ from curricula.losses import (
     combined_loss_grad,
     softmax,
 )
+from curricula.metrics import mean_recall
 from curricula.model import TrainConfig, Workspace, init, train_epoch
 
 # Differences of a few hundred between scores push softmax outputs far
@@ -133,6 +135,15 @@ def test_bool_labels_are_accepted_as_zero_and_one():
     got = batch_combined_loss_grad(scores, np.array([True, False, True, False]), 0.25)
     want = batch_combined_loss_grad(scores, np.array([1, 0, 1, 0]), 0.25)
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@settings(deadline=None)
+@given(batches(), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+def test_a_single_non_finite_score_is_rejected(batch, bad, data):
+    scores, labels = batch
+    scores[data.draw(st.integers(0, len(labels) - 1)), data.draw(st.integers(0, 2))] = bad
+    with pytest.raises(ValueError, match="^scores must be finite$"):
+        batch_combined_loss_grad(scores, labels, 0.5)
 
 
 def test_empty_batch_gives_empty_outputs():
@@ -310,6 +321,25 @@ def test_fold_contract(k, extra, val_fraction, seed, rnd):
             assert abs(val_c - val_fraction * remaining) <= 1
             assert abs(train_c - (1 - val_fraction) * remaining) <= 1
     assert sorted(tested) == sorted(ids)
+
+
+def reference_mean_recall(pred_labels, true_labels):
+    """The per-class loop ``mean_recall`` replaced: one ``np.mean`` per class present."""
+    recalls = []
+    for c in np.unique(true_labels):
+        mask = true_labels == c
+        recalls.append(float(np.mean(pred_labels[mask] == c)))
+    return float(np.mean(recalls))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 300), st.sets(st.sampled_from(CLASSES), min_size=1), st.integers(0, 2**32 - 1))
+def test_mean_recall_is_bit_equal_to_the_per_class_loop(n, present, seed):
+    rng = np.random.default_rng(seed)
+    true_labels = rng.choice(sorted(present), size=n)
+    pred_labels = rng.integers(3, size=n)
+    got = mean_recall(pred_labels, true_labels)
+    assert np.float64(got).tobytes() == np.float64(reference_mean_recall(pred_labels, true_labels)).tobytes()
 
 
 def fresh_array_epoch(params, train_set, lam, config, rng):

@@ -59,13 +59,20 @@ def _has_repeats(ids: np.ndarray) -> bool:
     return bool((ordered[1:] == ordered[:-1]).any())
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only in place: how a producer passes ``Dataset`` ownership."""
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An immutable collection of feature vectors with fine labels.
 
     ``features`` is (n, d) float64, ``labels`` and ``ids`` are (n,) int64;
-    ids are unique and non-negative. Arrays are frozen after construction
-    so datasets can be shared freely across threads.
+    ids are unique and non-negative. The arrays are read-only, so datasets can
+    be shared freely across threads, and are copies of the caller's, except a
+    read-only feature array: the package's producers freeze what they hand over.
     """
 
     features: np.ndarray
@@ -73,7 +80,8 @@ class Dataset:
     ids: np.ndarray
 
     def __post_init__(self) -> None:
-        features = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64))
+        frozen = isinstance(self.features, np.ndarray) and not self.features.flags.writeable
+        features = (np.asarray if frozen else np.array)(self.features, dtype=np.float64, order="C")
         labels = np.asarray(self.labels)
         ids = np.asarray(self.ids, dtype=np.int64).copy()
         if features.ndim != 2:
@@ -94,11 +102,9 @@ class Dataset:
             raise ValueError("ids must be non-negative")
         if _has_repeats(ids):
             raise ValueError("ids must be unique")
-        for arr in (features, labels, ids):
-            arr.setflags(write=False)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "features", _frozen(features))
+        object.__setattr__(self, "labels", _frozen(labels))
+        object.__setattr__(self, "ids", _frozen(ids))
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -122,7 +128,7 @@ class Dataset:
             first_missing = int(np.argmin(found))
             raise ValueError(f"id {int(wanted[first_missing])} not present in dataset")
         rows = order[pos]
-        return Dataset(self.features[rows], self.labels[rows], self.ids[rows])
+        return Dataset(_frozen(self.features[rows]), self.labels[rows], self.ids[rows])
 
 
 @dataclass(frozen=True)
@@ -178,7 +184,7 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
     for c, n_c in enumerate(config.counts):
         blocks.append(means[c] + config.noise * rng.standard_normal((n_c, config.feature_dim)))
     labels = np.repeat(np.arange(len(CLASSES)), config.counts)
-    return Dataset(np.vstack(blocks), labels, np.arange(len(labels)))
+    return Dataset(_frozen(np.vstack(blocks)), labels, np.arange(len(labels)))
 
 
 def load_csv(path: str | Path) -> Dataset:
@@ -223,7 +229,7 @@ def load_csv(path: str | Path) -> Dataset:
     if _has_repeats(id_array):
         raise ParseError(f"{path}: duplicate sample ids")
     return Dataset(
-        np.frombuffer(features, dtype=np.float64).reshape(len(ids), dim),
+        _frozen(np.frombuffer(features, dtype=np.float64).reshape(len(ids), dim)),
         np.frombuffer(labels, dtype=np.int64),
         id_array,
     )
@@ -257,9 +263,7 @@ class FoldPartition:
 
     def __post_init__(self) -> None:
         for name in ("train_ids", "val_ids", "test_ids"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=np.int64)))
         if _has_repeats(np.concatenate([self.train_ids, self.val_ids, self.test_ids])):
             raise ValueError("train/val/test id sets must be pairwise disjoint")
         if len(self.train_ids) == 0 or len(self.test_ids) == 0:

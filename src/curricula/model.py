@@ -109,14 +109,13 @@ def init(layer_sizes, seed: int) -> ModelParams:
 
 class Workspace:
     """Buffers that one SGD step fills in place, for batches of up to ``rows``
-    samples: each hidden layer's activations, rectifier masks and deltas, and
-    each layer's weight and bias gradients, which are views of one ``grads``
-    buffer laid out like ``ModelParams.flat``. A shorter batch uses leading rows."""
+    samples: each hidden layer's activations and deltas, and each layer's
+    weight and bias gradients, which are views of one ``grads`` buffer laid
+    out like ``ModelParams.flat``. A shorter batch uses leading rows."""
 
     def __init__(self, params: ModelParams, rows: int):
         hidden = params.layer_sizes[1:-1]
         self.activations = [np.empty((rows, width)) for width in hidden]
-        self.masks = [np.empty((rows, width)) for width in hidden]
         self.deltas = [np.empty((rows, width)) for width in hidden]
         self.grads = np.empty_like(params.flat)
         self.weight_grads, self.bias_grads = _layer_views(self.grads, params.layer_sizes)
@@ -148,18 +147,15 @@ def predict_proba_batch(params: ModelParams, features: np.ndarray) -> np.ndarray
     return softmax(_forward(params, x)[0])
 
 
-def _backward(params: ModelParams, score_grad: np.ndarray, activations, workspace: Workspace | None = None):
-    """Gradients of the batch loss w.r.t. every weight and bias.
-
-    ``score_grad`` is d(loss)/d(scores) for the whole batch, already scaled
-    by 1/batch_size. The rectifier mask is ``max(z, 0) > 0``, which holds
-    exactly where ``z > 0``, so no pre-activation needs keeping. The
-    gradients are written into ``workspace`` (a fresh one without it),
-    whose gradient lists are returned.
+def _backward(params: ModelParams, score_grad: np.ndarray, activations, workspace: Workspace):
+    """Gradients of the batch loss w.r.t. every weight and bias, as ``workspace``'s
+    gradient lists. ``score_grad`` is d(loss)/d(scores) for the whole batch,
+    already scaled by 1/batch_size. The rectifier mask is ``max(z, 0) > 0``,
+    which holds exactly where ``z > 0``, so each hidden activation is overwritten
+    with its mask, as 1.0/0.0, once its layer's weight gradient is taken. The
+    batch, ``activations[0]``, is never written.
     """
     rows = len(score_grad)
-    if workspace is None:
-        workspace = Workspace(params, rows)
     delta = score_grad
     for l in range(len(params.weights) - 1, -1, -1):
         np.matmul(delta.T, activations[l], out=workspace.weight_grads[l])
@@ -168,7 +164,7 @@ def _backward(params: ModelParams, score_grad: np.ndarray, activations, workspac
             delta = np.matmul(delta, params.weights[l], out=workspace.deltas[l - 1][:rows])
             # The mask as 1.0/0.0 floats: the same products as a bool mask,
             # without the cast buffer a bool operand costs.
-            delta *= np.greater(activations[l], 0.0, out=workspace.masks[l - 1][:rows])
+            delta *= np.greater(activations[l], 0.0, out=activations[l])
     return workspace.weight_grads, workspace.bias_grads
 
 
@@ -178,17 +174,15 @@ def train_epoch(
     lam: float,
     config: TrainConfig,
     rng: np.random.Generator,
-    workspace: Workspace | None = None,
+    workspace: Workspace,
 ) -> float:
     """One shuffled pass of minibatch SGD at curriculum weight ``lam``.
 
     Updates ``params`` in place and returns the mean per-sample blended
-    loss over the epoch. Each step fills ``workspace`` (by default a fresh
-    one for batches of ``min(batch_size, len(train_set))`` rows).
+    loss over the epoch. Each step fills ``workspace``, which needs at
+    least ``min(batch_size, len(train_set))`` rows.
     """
     n = len(train_set)
-    if workspace is None:
-        workspace = Workspace(params, min(config.batch_size, n))
     order = rng.permutation(n)
     # One gather per epoch; each batch is then a contiguous slice of it.
     features = train_set.features[order]
@@ -235,7 +229,8 @@ def train(
     going to the earlier epoch. ``params`` itself ends up in the
     final-epoch state; the returned snapshot is an independent copy. A
     ``ValueError`` raised in an epoch (non-finite scores or parameters) is
-    re-raised with ``epoch {e}: `` in front.
+    re-raised with ``epoch {e}: `` in front. numpy's overflow and invalid
+    warnings are off, so a diverging run fails this way under any warning filter.
     """
     lambdas = list(lambdas)
     if len(lambdas) != config.epochs:
@@ -243,24 +238,24 @@ def train(
             f"need one curriculum weight per epoch ({config.epochs}), got {len(lambdas)}"
         )
 
-    best_params = params.copy()
     best_score = -np.inf
     best_epoch = -1
     epoch_losses: list[float] = []
     val_scores: list[float] = []
     workspace = Workspace(params, min(config.batch_size, len(train_set)))
-    for epoch, lam in enumerate(lambdas):
-        try:
-            epoch_losses.append(train_epoch(params, train_set, lam, config, rng, workspace))
-            probs = predict_proba_batch(params, val_set.features)
-            score = mean_recall(np.argmax(probs, axis=1), val_set.labels)
-            val_scores.append(score)
-            if score > best_score:
-                best_score = score
-                best_epoch = epoch
-                best_params = params.copy()
-        except ValueError as e:
-            raise ValueError(f"epoch {epoch}: {e}") from e
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch, lam in enumerate(lambdas):
+            try:
+                epoch_losses.append(train_epoch(params, train_set, lam, config, rng, workspace))
+                probs = predict_proba_batch(params, val_set.features)
+                score = mean_recall(np.argmax(probs, axis=1), val_set.labels)
+                val_scores.append(score)
+                if score > best_score:
+                    best_score = score
+                    best_epoch = epoch
+                    best_params = params.copy()
+            except ValueError as e:
+                raise ValueError(f"epoch {epoch}: {e}") from e
     return TrainResult(
         params=best_params,
         best_epoch=best_epoch,

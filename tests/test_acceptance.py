@@ -100,7 +100,7 @@ def test_criterion_3_gradient_oracle():
 
         # full-network backprop on random small networks
         from curricula.losses import batch_combined_loss_grad
-        from curricula.model import _backward, _forward
+        from curricula.model import Workspace, _backward, _forward
 
         def batch_loss(params, x, y, lam):
             losses, _ = batch_combined_loss_grad(_forward(params, x)[0], y, lam)
@@ -114,7 +114,7 @@ def test_criterion_3_gradient_oracle():
             lam = float(rng.uniform())
             scores, activations = _forward(params, x)
             _, grads = batch_combined_loss_grad(scores, y, lam)
-            weight_grads, bias_grads = _backward(params, grads / len(y), activations)
+            weight_grads, bias_grads = _backward(params, grads / len(y), activations, Workspace(params, len(y)))
 
             tensors = list(zip(params.weights, weight_grads)) + list(
                 zip(params.biases, bias_grads)

@@ -52,6 +52,19 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.ones((0, 2)), np.array([]), np.array([]))
 
+    def test_caller_keeps_a_writable_feature_array(self):
+        features = np.zeros((3, 2))
+        ds = Dataset(features, np.array([0, 1, 2]), np.arange(3))
+        features[0, 0] = 1.0
+        assert ds.features[0, 0] == 0.0 and not ds.features.flags.writeable
+        with pytest.raises(ValueError):
+            ds.features[0, 0] = 9.0
+
+    def test_read_only_feature_array_is_kept_uncopied(self):
+        features = np.zeros((3, 2))
+        features.setflags(write=False)
+        assert Dataset(features, np.array([0, 1, 2]), np.arange(3)).features is features
+
     def test_arrays_are_frozen(self):
         ds = Dataset(np.ones((2, 2)), np.array([0, 1]), np.array([0, 1]))
         with pytest.raises(ValueError):

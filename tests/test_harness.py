@@ -4,6 +4,7 @@ import math
 import os
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -511,10 +512,14 @@ class TestRunExperiment:
     def test_divergence_names_fold_arm_and_epoch(self):
         config = parse_config(Path(__file__).parent / "golden" / "config.yaml")
         config = dataclasses.replace(config, train=dataclasses.replace(config.train, learning_rate=1e6))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ExperimentError) as excinfo:
-                run_experiment(config)
-        assert str(excinfo.value) == "fold 0, arm 'constant_zero': epoch 5: scores must be finite"
+        # "error" is how CI runs the demos; "default" would print any warning and go on.
+        for action in ("error", "default"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                with pytest.raises(ExperimentError) as excinfo:
+                    run_experiment(config)
+            assert str(excinfo.value) == "fold 0, arm 'constant_zero': epoch 5: scores must be finite", action
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], action
 
 
 class TestRenderReport:

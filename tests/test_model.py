@@ -134,7 +134,7 @@ def test_single_sample_step_is_sgd():
     b_before = params.biases[0].copy()
     config = TrainConfig(learning_rate=0.1, epochs=1, batch_size=1, hidden_sizes=())
     grad = combined_loss_grad(w_before @ x + b_before, 2, 0.4)
-    mean_loss = train_epoch(params, dataset, 0.4, config, np.random.default_rng(0))
+    mean_loss = train_epoch(params, dataset, 0.4, config, np.random.default_rng(0), Workspace(params, 1))
     # the loss is taken before the step, at the initial parameters
     assert mean_loss == pytest.approx(combined_loss(softmax(w_before @ x + b_before), 2, 0.4), rel=1e-12)
     np.testing.assert_allclose(params.weights[0], w_before - 0.1 * np.outer(grad, x), atol=1e-14)
@@ -159,7 +159,7 @@ def test_backprop_matches_finite_differences():
 
             scores, activations = _forward(params, x)
             _, grads = batch_combined_loss_grad(scores, y, lam)
-            weight_grads, bias_grads = _backward(params, grads / len(y), activations)
+            weight_grads, bias_grads = _backward(params, grads / len(y), activations, Workspace(params, len(y)))
 
             step = 1e-6
             for w, dw in zip(params.weights, weight_grads):
@@ -231,7 +231,7 @@ def test_zero_weight_training_equals_plain_cross_entropy():
         ours = init(sizes, seed=11)
         reference = ours.copy()
         for _ in range(10):
-            train_epoch(ours, dataset, 0.0, config, np.random.default_rng(99))
+            train_epoch(ours, dataset, 0.0, config, np.random.default_rng(99), Workspace(ours, config.batch_size))
         for _ in range(10):
             hard_only_epoch(reference, dataset, config, np.random.default_rng(99))
 
@@ -345,13 +345,13 @@ def test_divergence_names_the_epoch():
     with np.errstate(over="ignore", invalid="ignore"):
         for first_bad in range(config.epochs):
             try:
-                train_epoch(params, dataset, 0.5, config, shuffle)
+                train_epoch(params, dataset, 0.5, config, shuffle, Workspace(params, config.batch_size))
             except ValueError as e:
                 assert str(e) == "scores must be finite"
                 break
         else:
             raise AssertionError("the learning rate never drove the scores non-finite")
         assert first_bad > 0
-        with pytest.raises(ValueError) as excinfo:
-            train(init([3, 4, 3], seed=1), dataset, dataset, [0.5] * 8, config, np.random.default_rng(2))
+    with pytest.raises(ValueError) as excinfo:
+        train(init([3, 4, 3], seed=1), dataset, dataset, [0.5] * 8, config, np.random.default_rng(2))
     assert str(excinfo.value) == f"epoch {first_bad}: scores must be finite"

@@ -12,16 +12,19 @@ CSV format: header ``id,label,f1,...,fd``, one sample per row, labels in
 {0, 1, 2}, decimal feature values. Partition exports are rows of
 ``id,fold_index,split`` with split in {train, val, test}. Both writers end
 lines with ``\\r\\n``, as ``csv.writer`` does, and write each feature as
-its shortest round-trip ``repr``. ``load_csv`` checks lines in file order,
-so an error names the first bad line.
+its shortest round-trip ``repr``. ``load_csv`` parses chunks of lines with
+numpy's C reader, and line by line with ``csv`` from the first chunk numpy
+declines: files load to the same bits either way, and errors name the first bad line.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +38,8 @@ _MAX_ID = np.iinfo(np.int64).max
 # Rows converted to Python numbers at a time by the CSV writers: large enough
 # to amortise the numpy calls, small enough to keep the lists out of peak memory.
 _CHUNK_ROWS = 4096
+# Characters of lines per np.loadtxt call in load_csv: the same trade-off, for text.
+_CHUNK_BYTES = 1 << 18
 
 
 class ParseError(ValueError):
@@ -71,8 +76,8 @@ class Dataset:
 
     ``features`` is (n, d) float64, ``labels`` and ``ids`` are (n,) int64;
     ids are unique and non-negative. The arrays are read-only, so datasets can
-    be shared freely across threads, and are copies of the caller's, except a
-    read-only feature array: the package's producers freeze what they hand over.
+    be shared freely across threads, and are copies of the caller's, except
+    read-only ndarrays: the package's producers freeze what they hand over.
     """
 
     features: np.ndarray
@@ -80,10 +85,10 @@ class Dataset:
     ids: np.ndarray
 
     def __post_init__(self) -> None:
-        frozen = isinstance(self.features, np.ndarray) and not self.features.flags.writeable
-        features = (np.asarray if frozen else np.array)(self.features, dtype=np.float64, order="C")
+        kept = [isinstance(a, np.ndarray) and not a.flags.writeable for a in (self.features, self.labels, self.ids)]
+        features = (np.asarray if kept[0] else np.array)(self.features, dtype=np.float64, order="C")
         labels = np.asarray(self.labels)
-        ids = np.asarray(self.ids, dtype=np.int64).copy()
+        ids = (np.asarray if kept[2] else np.array)(self.ids, dtype=np.int64)
         if features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {features.shape}")
         n = features.shape[0]
@@ -97,7 +102,7 @@ class Dataset:
             raise ValueError("features must be finite")
         # The raw labels, before the cast: as int64, 1.5 would pass as 1.
         class_onehot(labels)
-        labels = labels.astype(np.int64)
+        labels = labels.astype(np.int64, copy=not kept[1])
         if (ids < 0).any():
             raise ValueError("ids must be non-negative")
         if _has_repeats(ids):
@@ -128,7 +133,7 @@ class Dataset:
             first_missing = int(np.argmin(found))
             raise ValueError(f"id {int(wanted[first_missing])} not present in dataset")
         rows = order[pos]
-        return Dataset(_frozen(self.features[rows]), self.labels[rows], self.ids[rows])
+        return Dataset(*(_frozen(a[rows]) for a in (self.features, self.labels, self.ids)))
 
 
 @dataclass(frozen=True)
@@ -184,25 +189,40 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
     for c, n_c in enumerate(config.counts):
         blocks.append(means[c] + config.noise * rng.standard_normal((n_c, config.feature_dim)))
     labels = np.repeat(np.arange(len(CLASSES)), config.counts)
-    return Dataset(_frozen(np.vstack(blocks)), labels, np.arange(len(labels)))
+    return Dataset(_frozen(np.vstack(blocks)), _frozen(labels), _frozen(np.arange(len(labels))))
 
 
 def load_csv(path: str | Path) -> Dataset:
     """Load a dataset from the documented ``id,label,f1,...,fd`` format."""
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(csv.reader(fh))]
         except StopIteration:
             raise ParseError(f"{path}: empty file, no samples") from None
-        header = [h.strip() for h in header]
         if len(header) < 3 or header[0] != "id" or header[1] != "label":
             raise ParseError(f"{path}: line 1: header must be 'id,label,f1,...,fd', got {','.join(header)!r}")
         dim = len(header) - 2
 
         ids, labels, features = array("q"), array("q"), array("d")
-        for lineno, row in enumerate(reader, start=2):
+        record = np.dtype([("id", np.int64), ("label", np.int64), ("f", np.float64, (dim,))])
+        while lines := fh.readlines(_CHUNK_BYTES):
+            with warnings.catch_warnings(record=True) as warned:
+                warnings.simplefilter("always")  # numpy warns of blank chunks, and 1.x of float-like ints
+                try:
+                    part = np.loadtxt(lines, record, delimiter=",", comments=None, quotechar=None, ndmin=1)
+                    class_onehot(part["label"])
+                except ValueError:
+                    break
+            # numpy skips blank lines (csv: 0-column rows), reads \x1c-\x1f as spaces and has no field size limit
+            declined = warned or len(part) != len(lines) or max(map(len, lines)) > csv.field_size_limit()
+            declined = declined or any(map("".join(lines).__contains__, "\x1c\x1d\x1e\x1f"))
+            if declined or (part["id"] < 0).any() or not np.isfinite(part["f"]).all():
+                break
+            for buffer, field in ((ids, "id"), (labels, "label"), (features, "f")):
+                buffer.frombytes(part[field].tobytes())
+        # every accepted chunk held one sample per line, so line numbers carry on
+        for lineno, row in enumerate(csv.reader(chain(lines, fh)), start=len(ids) + 2):
             if len(row) != dim + 2:
                 raise ParseError(f"{path}: line {lineno}: expected {dim + 2} columns, got {len(row)}")
             try:
@@ -225,14 +245,11 @@ def load_csv(path: str | Path) -> Dataset:
 
     if not ids:
         raise ParseError(f"{path}: no samples")
-    id_array = np.frombuffer(ids, dtype=np.int64)
+    id_array = _frozen(np.frombuffer(ids, dtype=np.int64))
     if _has_repeats(id_array):
         raise ParseError(f"{path}: duplicate sample ids")
-    return Dataset(
-        _frozen(np.frombuffer(features, dtype=np.float64).reshape(len(ids), dim)),
-        np.frombuffer(labels, dtype=np.int64),
-        id_array,
-    )
+    features = _frozen(np.frombuffer(features, dtype=np.float64).reshape(len(ids), dim))
+    return Dataset(features, _frozen(np.frombuffer(labels, dtype=np.int64)), id_array)
 
 
 def write_csv(dataset: Dataset, path: str | Path) -> None:
@@ -332,8 +349,7 @@ def stratified_kfold(
 
 def write_partitions_csv(partitions: list[FoldPartition], path: str | Path) -> None:
     """Export partitions as ``id,fold_index,split`` rows (split in train/val/test)."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with open(path, "w", newline="") as fh:
         fh.write("id,fold_index,split\r\n")
         for part in partitions:
             for split, ids in (
@@ -343,5 +359,4 @@ def write_partitions_csv(partitions: list[FoldPartition], path: str | Path) -> N
             ):
                 tail = f",{part.fold_index},{split}\r\n"
                 for start in range(0, len(ids), _CHUNK_ROWS):
-                    chunk = ids[start : start + _CHUNK_ROWS].tolist()
-                    fh.writelines(f"{sample_id}{tail}" for sample_id in chunk)
+                    fh.write(tail.join(map(str, ids[start : start + _CHUNK_ROWS].tolist())) + tail)

@@ -1,6 +1,10 @@
+import csv
+import warnings
+
 import numpy as np
 import pytest
 
+from curricula import data
 from curricula.data import (
     Dataset,
     FoldPartition,
@@ -53,17 +57,27 @@ class TestDataset:
             Dataset(np.ones((0, 2)), np.array([]), np.array([]))
 
     def test_caller_keeps_a_writable_feature_array(self):
-        features = np.zeros((3, 2))
-        ds = Dataset(features, np.array([0, 1, 2]), np.arange(3))
-        features[0, 0] = 1.0
-        assert ds.features[0, 0] == 0.0 and not ds.features.flags.writeable
-        with pytest.raises(ValueError):
-            ds.features[0, 0] = 9.0
+        features, labels, ids = np.zeros((3, 2)), np.array([0, 1, 2]), np.arange(3)
+        ds = Dataset(features, labels, ids)
+        features[0, 0], labels[0], ids[0] = 1.0, 2, 7
+        assert ds.features[0, 0] == 0.0 and ds.labels[0] == 0 and ds.ids[0] == 0
+        for array in (ds.features, ds.labels, ds.ids):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
 
     def test_read_only_feature_array_is_kept_uncopied(self):
-        features = np.zeros((3, 2))
-        features.setflags(write=False)
-        assert Dataset(features, np.array([0, 1, 2]), np.arange(3)).features is features
+        arrays = np.zeros((3, 2)), np.array([0, 1, 2], dtype=np.int64), np.arange(3, dtype=np.int64)
+        for array in arrays:
+            array.setflags(write=False)
+        ds = Dataset(*arrays)
+        assert ds.features is arrays[0] and ds.labels is arrays[1] and ds.ids is arrays[2]
+        # a read-only array of another dtype is cast, and labels are still checked before the cast
+        assert Dataset(*arrays[:2], arrays[2].astype(np.int32)).ids.dtype == np.int64
+        half = np.array([0.0, 1.5, 2.0])
+        half.setflags(write=False)
+        with pytest.raises(ValueError, match="^labels must be 0, 1, or 2$"):
+            Dataset(arrays[0], half, arrays[2])
 
     def test_arrays_are_frozen(self):
         ds = Dataset(np.ones((2, 2)), np.array([0, 1]), np.array([0, 1]))
@@ -242,6 +256,44 @@ class TestCsv:
         path = tmp_path / "big.csv"
         path.write_text(f"id,label,f1\n{2**63 - 1},2,1.0\n")
         assert load_csv(path).ids.tolist() == [2**63 - 1]
+
+    def test_blank_lines_alone_name_line_2_with_warnings_as_errors(self, tmp_path):
+        # numpy warns that such a chunk "contained no data"; that must not escape or win
+        path = tmp_path / "blank.csv"
+        path.write_bytes(b"id,label,f1\r\n\r\n\r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="line 2: expected 3 columns, got 0$"):
+                load_csv(path)
+
+    def test_field_beyond_the_csv_limit_still_fails_in_csv(self, tmp_path):
+        # numpy has no such limit; the chunk goes to csv.reader, which raises as it always has
+        path = tmp_path / "big.csv"
+        path.write_text("id,label,f1\n0,0,1.0\n1,1,0." + "0" * csv.field_size_limit() + "1\n2,2,1.0\n")
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            load_csv(path)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("150,1,abc", "could not convert string to float: 'abc'"),
+            ("", "expected 3 columns, got 0"),
+            ("\x1c150,1,1.0", "invalid literal for int() with base 10: '\\x1c150'"),
+        ],
+    )
+    def test_bad_row_after_accepted_chunks_names_its_line(self, tmp_path, monkeypatch, bad, message):
+        monkeypatch.setattr(data, "_CHUNK_BYTES", 64)  # about six rows a chunk
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+        rows = [f"{i},{i % 3},{i}.5" for i in range(200)]
+        rows[150] = bad
+        path = tmp_path / "bad.csv"
+        path.write_bytes(("id,label,f1\r\n" + "\r\n".join(rows) + "\r\n").encode())
+        with pytest.raises(ParseError) as caught:
+            load_csv(path)
+        assert str(caught.value) == f"{path}: line 152: {message}"
+        assert len(calls) > 10  # the rows before it went through numpy, chunk by chunk
 
 
 def proportional_within_one(count, expected):

@@ -12,7 +12,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import yaml
+
 import curricula
+from curricula import cli
 from curricula.harness import parse_config, render_report, run_experiment
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -38,3 +41,14 @@ def test_golden_run_needs_no_scipy(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
     assert (tmp_path / "per_fold.csv").read_bytes() == (GOLDEN / "per_fold.csv").read_bytes()
+
+
+def test_golden_run_from_its_generated_csv(tmp_path, monkeypatch):
+    # the golden data written by gen-data and read back through load_csv give the same folds and fits
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["gen-data", "--config", str(GOLDEN / "config.yaml"), "--out", "data.csv"]) == 0
+    config = yaml.safe_load((GOLDEN / "config.yaml").read_text())
+    config["data"] = {"csv": "data.csv"}
+    Path("csv.yaml").write_text(yaml.safe_dump(config))
+    assert cli.main(["run", "--config", "csv.yaml", "--out", "out"]) == 0
+    assert Path("out/per_fold.csv").read_bytes() == (GOLDEN / "per_fold.csv").read_bytes()

@@ -3,15 +3,18 @@
 ``batch_combined_loss_grad`` must be bit-equal, sample by sample, to the
 scalar ``combined_loss``/``combined_loss_grad``, and ``Dataset.subset``
 must slice exactly what a plain id->row dict lookup would. The CSV
-writers must write the same bytes as ``csv.writer`` row by row, and
-``stratified_kfold`` must keep its fold contract for any class counts.
+writers must write the same bytes as ``csv.writer`` row by row, ``load_csv``
+must load what a row-by-row ``csv.reader`` loader loads, or fail with its
+message, and ``stratified_kfold`` must keep its fold contract for any class counts.
 An SGD epoch that fills a reused workspace must be bit-equal to one that
 allocates fresh arrays at every step, and ``mean_recall`` to a per-class loop.
 """
 
 import csv
+import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,10 +22,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from curricula import data
 from curricula.data import (
     CLASSES,
     Dataset,
     FoldPartition,
+    ParseError,
     load_csv,
     stratified_kfold,
     write_csv,
@@ -277,6 +282,95 @@ def test_write_partitions_csv_matches_csv_writer(partitions):
     assert written_bytes(write_partitions_csv, partitions) == written_bytes(
         reference_write_partitions_csv, partitions
     )
+
+
+def reference_load_csv(path):
+    """The row-by-row loader: ``csv.reader``, then ``int``/``float`` and the four checks per row."""
+    ids, labels, features = [], [], []
+    with open(path, newline="") as fh:
+        rows = csv.reader(fh)
+        width = len(next(rows))
+        for lineno, row in enumerate(rows, start=2):
+            where = f"{path}: line {lineno}: "
+            if len(row) != width:
+                raise ParseError(f"{where}expected {width} columns, got {len(row)}")
+            try:
+                sample_id, label, values = int(row[0]), int(row[1]), [float(v) for v in row[2:]]
+            except ValueError as e:
+                raise ParseError(f"{where}{e}") from None
+            if label not in CLASSES:
+                raise ParseError(f"{where}label must be 0, 1, or 2, got {label}")
+            if sample_id < 0:
+                raise ParseError(f"{where}id must be non-negative, got {sample_id}")
+            if not all(map(math.isfinite, values)):
+                raise ParseError(f"{where}features must be finite")
+            if sample_id > 2**63 - 1:
+                raise ParseError(f"{where}id must be at most {2**63 - 1}, got {sample_id}")
+            ids.append(sample_id)
+            labels.append(label)
+            features.append(values)
+    if not ids:
+        raise ParseError(f"{path}: no samples")
+    if len(set(ids)) != len(ids):
+        raise ParseError(f"{path}: duplicate sample ids")
+    return np.array(ids, np.int64), np.array(labels, np.int64), np.array(features, np.float64)
+
+
+# Fields that int or float reads differently from numpy's C reader, or that a
+# check rejects; \x1c-\x1f are spaces to numpy but not to int and float.
+# csv.reader rejects a field beyond its size limit, and before Python 3.11 a NUL byte.
+ODD_IDS = ["1_0", "+5", "\u0665", '"7"', str(2**63), "-3", "-0", " 8 ", "5.0", "\x1c9", "\xa09"]
+ODD_LABELS = ["3", "1.5", "-1", "+1", '"2"', "\u0662", " 0", "0_1", "\x1f1"]
+ODD_FEATURES = ["nan", "inf", "-inf", "1e400", '"1.5"', "1_0.5", "+2.5", "\u0665", "\x1e1", " 3 ", "x", "", "1\x00"]
+ODD_FEATURES.append("0." + "0" * csv.field_size_limit() + "1")
+ODD_LINES = [" ", "\t", '"4\n5",0,1', "1,2,3,4,5,6"]
+
+
+@st.composite
+def csv_files(draw):
+    dim = draw(st.integers(1, 3))
+    lines = [",".join(["id", "label"] + [f"f{i + 1}" for i in range(dim)])]
+    kinds = ["good"] * 24 + ["odd field", "odd field", "odd line", "blank", "short"] * draw(st.integers(0, 3))
+    for i in range(draw(st.integers(0, 60))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("odd line", "blank"):
+            lines.append(draw(st.sampled_from(ODD_LINES)) if kind == "odd line" else "")
+            continue
+        fields = [
+            str(i + draw(st.sampled_from([0, 10**12, 2**63 - 61]))),  # unique, up to the int64 limit
+            draw(st.sampled_from("012")),
+            *(repr(draw(FEATURE)) for _ in range(dim)),
+        ]
+        if kind == "odd field":
+            column = draw(st.integers(0, dim + 1))
+            fields[column] = draw(st.sampled_from([ODD_IDS, ODD_LABELS, *[ODD_FEATURES] * dim][column]))
+        lines.append(",".join(fields[: -1 if kind == "short" else None]))
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, endings))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def loaded_or_error(loader, path):
+    try:
+        return loader(path)
+    except (ParseError, csv.Error) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+@settings(deadline=None, max_examples=500)
+@given(csv_files(), st.integers(1, 200))
+def test_load_csv_matches_the_row_by_row_loader(text, chunk_bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(text.encode())
+        want = loaded_or_error(reference_load_csv, path)
+        with mock.patch.object(data, "_CHUNK_BYTES", chunk_bytes):  # files span many chunks
+            got = loaded_or_error(load_csv, path)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert [a.tobytes() for a in (got.ids, got.labels, got.features)] == [a.tobytes() for a in want]
 
 
 @settings(deadline=None)

@@ -9,7 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .data import generate_synthetic, stratified_kfold, write_csv, write_partitions_csv
-from .harness import build_dataset, child_seed, parse_config, render_report, resolved_synth, run_experiment
+from .harness import build_dataset, parse_config, render_report, resolved_seeds, resolved_synth, run_experiment
 
 
 def _load_config(args):
@@ -48,9 +48,7 @@ def _cmd_gen_data(args) -> int:
 def _cmd_folds(args) -> int:
     config = _load_config(args)
     dataset = build_dataset(config)
-    partitions = stratified_kfold(
-        dataset, config.k, config.val_fraction, child_seed(config.seed, "folds")
-    )
+    partitions = stratified_kfold(dataset, config.k, config.val_fraction, resolved_seeds(config)["folds"])
     write_partitions_csv(partitions, args.out)
     return 0
 

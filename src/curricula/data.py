@@ -200,6 +200,8 @@ def load_csv(path: str | Path) -> Dataset:
             header = [h.strip() for h in next(csv.reader(fh))]
         except StopIteration:
             raise ParseError(f"{path}: empty file, no samples") from None
+        except csv.Error as e:  # a field beyond csv.field_size_limit(), or a NUL before Python 3.11
+            raise ParseError(f"{path}: line 1: {e}") from None
         if len(header) < 3 or header[0] != "id" or header[1] != "label":
             raise ParseError(f"{path}: line 1: header must be 'id,label,f1,...,fd', got {','.join(header)!r}")
         dim = len(header) - 2
@@ -222,26 +224,30 @@ def load_csv(path: str | Path) -> Dataset:
             for buffer, field in ((ids, "id"), (labels, "label"), (features, "f")):
                 buffer.frombytes(part[field].tobytes())
         # every accepted chunk held one sample per line, so line numbers carry on
-        for lineno, row in enumerate(csv.reader(chain(lines, fh)), start=len(ids) + 2):
-            if len(row) != dim + 2:
-                raise ParseError(f"{path}: line {lineno}: expected {dim + 2} columns, got {len(row)}")
-            try:
-                sample_id = int(row[0])
-                label = int(row[1])
-                values = [float(v) for v in row[2:]]
-            except ValueError as e:
-                raise ParseError(f"{path}: line {lineno}: {e}") from None
-            if label not in CLASSES:
-                raise ParseError(f"{path}: line {lineno}: label must be 0, 1, or 2, got {label}")
-            if sample_id < 0:
-                raise ParseError(f"{path}: line {lineno}: id must be non-negative, got {sample_id}")
-            if not all(map(math.isfinite, values)):
-                raise ParseError(f"{path}: line {lineno}: features must be finite")
-            if sample_id > _MAX_ID:
-                raise ParseError(f"{path}: line {lineno}: id must be at most {_MAX_ID}, got {sample_id}")
-            ids.append(sample_id)
-            labels.append(label)
-            features.extend(values)
+        lineno = len(ids) + 1  # the last line read whole
+        try:
+            for lineno, row in enumerate(csv.reader(chain(lines, fh)), start=lineno + 1):
+                if len(row) != dim + 2:
+                    raise ParseError(f"{path}: line {lineno}: expected {dim + 2} columns, got {len(row)}")
+                try:
+                    sample_id = int(row[0])
+                    label = int(row[1])
+                    values = [float(v) for v in row[2:]]
+                except ValueError as e:
+                    raise ParseError(f"{path}: line {lineno}: {e}") from None
+                if label not in CLASSES:
+                    raise ParseError(f"{path}: line {lineno}: label must be 0, 1, or 2, got {label}")
+                if sample_id < 0:
+                    raise ParseError(f"{path}: line {lineno}: id must be non-negative, got {sample_id}")
+                if not all(map(math.isfinite, values)):
+                    raise ParseError(f"{path}: line {lineno}: features must be finite")
+                if sample_id > _MAX_ID:
+                    raise ParseError(f"{path}: line {lineno}: id must be at most {_MAX_ID}, got {sample_id}")
+                ids.append(sample_id)
+                labels.append(label)
+                features.extend(values)
+        except csv.Error as e:
+            raise ParseError(f"{path}: line {lineno + 1}: {e}") from None
 
     if not ids:
         raise ParseError(f"{path}: no samples")

@@ -68,7 +68,6 @@ class ExperimentConfig:
     val_fraction: float = 0.2
     seed: int = 0
     out_dir: Path = Path("out")
-    echo: dict | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.train, TrainConfig):
@@ -87,7 +86,7 @@ class ExperimentConfig:
         if self.csv_path is not None:
             object.__setattr__(self, "csv_path", file_path(self.csv_path, "csv_path"))
         if (self.synth is None) == (self.csv_path is None):
-            raise ValueError("config needs exactly one data source (synthetic or csv)")
+            raise ValueError("data needs exactly one source: data.synthetic or data.csv")
         names = [arm.name for arm in self.arms]
         if len(set(names)) != len(names):
             raise ValueError(f"arm names must be unique, got {names}")
@@ -156,20 +155,16 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     with path.open() as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as e:  # its text names the file, line and column
+            raise ConfigError(str(e)) from None
     raw = _require_mapping(raw, "config", {"data", "train", "arms", *_CONFIG_KEYS})
 
-    if "data" not in raw:
-        raise ConfigError("config: missing required section 'data'")
-    data = _require_mapping(raw["data"], "data", _DATA_KEYS)
-    if len(data) > 1:
-        raise ConfigError("data: give either 'synthetic' or 'csv', not both")
-    if not data:
-        raise ConfigError("data: needs 'synthetic' or 'csv'")
-    ((key, source),) = data.items()
-    if key == "synthetic":
+    data = _fields(raw.get("data", {}), "data", _DATA_KEYS)
+    if "synth" in data:
         where = "data.synthetic"
-        source = _build(SynthConfig, _fields(source, where, _SYNTH_KEYS, "counts"), where, _SYNTH_KEYS)
+        data["synth"] = _build(SynthConfig, _fields(data["synth"], where, _SYNTH_KEYS, "counts"), where, _SYNTH_KEYS)
 
     train = _build(TrainConfig, _fields(raw.get("train", {}), "train", _TRAIN_KEYS), "train", _TRAIN_KEYS)
 
@@ -180,16 +175,26 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     arms = tuple(_arm(arm, f"arms[{i}]", train.epochs) for i, arm in enumerate(raw["arms"]))
 
     fields = {field: raw[key] for key, field in _CONFIG_KEYS.items() if key in raw}
-    fields.update({_DATA_KEYS[key]: source, "train": train, "arms": arms, "echo": raw})
+    fields.update({**data, "train": train, "arms": arms})
     return _build(ExperimentConfig, fields, "", {**_CONFIG_KEYS, "data.csv": "csv_path"})
 
 
+def resolved_seeds(config: ExperimentConfig) -> dict:
+    """Every seed a run uses, and the one place that derives them from the
+    master seed: ``master``; ``data``, the configured ``data.synthetic.seed``
+    or a derived one (``None`` for a CSV source); ``folds``; and ``init`` and
+    ``shuffle``, lists indexed by fold."""
+    master, synth = config.seed, config.synth
+    data = None if synth is None else synth.seed
+    if synth is not None and data is None:
+        data = child_seed(master, "data")
+    seeds = {"master": master, "data": data, "folds": child_seed(master, "folds")}
+    return seeds | {tag: [child_seed(master, tag, i) for i in range(config.k)] for tag in ("init", "shuffle")}
+
+
 def resolved_synth(config: ExperimentConfig) -> SynthConfig:
-    """The config's synthetic-data parameters with the seed filled in: the
-    configured ``data.synthetic.seed``, else one derived from the master seed."""
-    if config.synth.seed is not None:
-        return config.synth
-    return replace(config.synth, seed=child_seed(config.seed, "data"))
+    """The config's synthetic-data parameters with the seed filled in."""
+    return replace(config.synth, seed=resolved_seeds(config)["data"])
 
 
 def build_dataset(config: ExperimentConfig) -> Dataset:
@@ -201,13 +206,11 @@ def build_dataset(config: ExperimentConfig) -> Dataset:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Per-fold and mean metrics for every arm, plus reproducibility info."""
+    """Per-fold and mean metrics for every arm."""
 
     arm_names: tuple[str, ...]
     per_fold: dict[str, list[MetricsReport]]
     means: dict[str, MetricsReport]
-    config_echo: dict
-    seeds: dict
 
 
 def _mean_report(fold_reports: list[MetricsReport]) -> MetricsReport:
@@ -246,27 +249,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     deterministic given the config.
     """
     dataset = build_dataset(config)
-    folds_seed = child_seed(config.seed, "folds")
-    partitions = stratified_kfold(dataset, config.k, config.val_fraction, folds_seed)
-
-    fold_seeds = {
-        part.fold_index: {
-            "init": child_seed(config.seed, "init", part.fold_index),
-            "shuffle": child_seed(config.seed, "shuffle", part.fold_index),
-        }
-        for part in partitions
-    }
+    seeds = resolved_seeds(config)
+    partitions = stratified_kfold(dataset, config.k, config.val_fraction, seeds["folds"])
 
     per_fold: dict[str, list[MetricsReport]] = {arm.name: [] for arm in config.arms}
     for part in partitions:
-        seeds = fold_seeds[part.fold_index]
+        i = part.fold_index
         for arm in config.arms:
             try:
-                report = run_arm_on_fold(
-                    arm, dataset, part, config.train, seeds["init"], seeds["shuffle"]
-                )
+                report = run_arm_on_fold(arm, dataset, part, config.train, seeds["init"][i], seeds["shuffle"][i])
             except Exception as e:
-                raise ExperimentError(f"fold {part.fold_index}, arm {arm.name!r}: {e}") from e
+                raise ExperimentError(f"fold {i}, arm {arm.name!r}: {e}") from e
             per_fold[arm.name].append(report)
 
     means = {name: _mean_report(reports) for name, reports in per_fold.items()}
@@ -274,8 +267,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         arm_names=tuple(arm.name for arm in config.arms),
         per_fold=per_fold,
         means=means,
-        config_echo=config.echo if config.echo is not None else {},
-        seeds={"master": config.seed, "folds": folds_seed, "per_fold": fold_seeds},
     )
 
 

@@ -1,4 +1,5 @@
 import csv
+import re
 import warnings
 
 import numpy as np
@@ -267,10 +268,25 @@ class TestCsv:
                 load_csv(path)
 
     def test_field_beyond_the_csv_limit_still_fails_in_csv(self, tmp_path):
-        # numpy has no such limit; the chunk goes to csv.reader, which raises as it always has
+        # numpy has no such limit; the chunk goes to csv.reader, whose error names the line
         path = tmp_path / "big.csv"
         path.write_text("id,label,f1\n0,0,1.0\n1,1,0." + "0" * csv.field_size_limit() + "1\n2,2,1.0\n")
-        with pytest.raises(csv.Error, match="field larger than field limit"):
+        with pytest.raises(ParseError, match=r"big\.csv: line 3: field larger than field limit \(\d+\)$"):
+            load_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("id,label,f" + "1" * csv.field_size_limit() + "\n0,0,1.0\n", "line 1: field larger than field limit"),
+            # csv.reader rejects a NUL byte before Python 3.11, float from 3.11 on
+            ("id,label,f1\n0,0,1.0\n1,1,1\x00\n2,2,1.0\n", "line 3: "),
+        ],
+        ids=["long-header-field", "nul-byte"],
+    )
+    def test_csv_reader_errors_name_file_and_line(self, tmp_path, text, where):
+        path = tmp_path / "odd.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=r"odd\.csv: " + re.escape(where)):
             load_csv(path)
 
     @pytest.mark.parametrize(

@@ -14,15 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curricula import cli, harness
-from curricula.data import SynthConfig
+from curricula.data import SynthConfig, stratified_kfold
 from curricula.harness import (
     Arm,
     ConfigError,
     ExperimentConfig,
     ExperimentError,
+    build_dataset,
     child_seed,
     parse_config,
     render_report,
+    resolved_seeds,
     resolved_synth,
     run_experiment,
 )
@@ -245,7 +247,7 @@ class TestParseConfig:
         )
         config = parse_config(path)
         for cls, parsed, skip in (
-            (ExperimentConfig, config, {"synth", "echo"}),  # the file sets these two
+            (ExperimentConfig, config, {"synth"}),  # the file sets it
             (TrainConfig, config.train, set()),
             (SynthConfig, config.synth, set()),
             (SchedulerSpec, config.arms[0].spec, set()),
@@ -274,7 +276,13 @@ class TestParseConfig:
                 "out_dir: 3\ndata:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: step}\n",
                 "out_dir must be a path string, got 3",
             ),
-            ("data: {}\narms:\n  - {kind: step}\n", "data: needs 'synthetic' or 'csv'"),
+            ("data: {}\narms:\n  - {kind: step}\n", "data needs exactly one source: data.synthetic or data.csv"),
+            ("arms:\n  - {kind: step}\n", "data needs exactly one source: data.synthetic or data.csv"),
+            ("data:\n  csv: null\narms:\n  - {kind: step}\n", "data needs exactly one source: data.synthetic or data.csv"),
+            (
+                "data:\n  synthetic:\n    counts: [10, 10, 10]\n  csv: x.csv\narms:\n  - {kind: step}\n",
+                "data needs exactly one source: data.synthetic or data.csv",
+            ),
             (
                 "data:\n  synthetic:\n    counts: [10, 10, 10]\ntrain: []\narms:\n  - {kind: step}\n",
                 "train must be a mapping, got list",
@@ -293,6 +301,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as excinfo:
             parse_config(write_config(tmp_path, text))
         assert str(excinfo.value) == message
+
+    def test_malformed_yaml_is_a_config_error_naming_file_line_and_column(self, tmp_path):
+        path = write_config(tmp_path, "data:\n  synthetic:\n    counts: [10, 10\narms:\n  - {kind: step}\n", "broken.yaml")
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(path)
+        message = str(excinfo.value)
+        assert "while parsing a flow sequence" in message
+        assert re.search(r'in ".*broken\.yaml", line 3, column 13', message), message
 
 
 SPEC = SchedulerSpec(kind="step", switch_epoch=2)
@@ -433,6 +449,46 @@ def test_bad_value_error_starts_with_key_path(case):
     assert re.match(re.escape(key_path) + r"[ \[]", str(excinfo.value)), (key_path, value, str(excinfo.value))
 
 
+class TestResolvedSeeds:
+    def test_keys_and_one_init_and_shuffle_seed_per_fold(self, small_config):
+        seeds = resolved_seeds(parse_config(small_config))
+        assert list(seeds) == ["master", "data", "folds", "init", "shuffle"]
+        assert seeds["master"] == 5 and seeds["data"] == child_seed(5, "data")
+        assert len(seeds["init"]) == len(seeds["shuffle"]) == 3
+
+    def test_one_seed_source_feeds_every_command(self, small_config, tmp_path):
+        config = parse_config(small_config)
+        out = tmp_path / "folds.csv"
+        assert cli.main(["folds", "--config", str(small_config), "--out", str(out)]) == 0
+        exported = {}
+        for row in out.read_text().splitlines()[1:]:
+            sample_id, fold, split = row.split(",")
+            exported.setdefault((int(fold), split), []).append(int(sample_id))
+        partitions = stratified_kfold(build_dataset(config), config.k, config.val_fraction, resolved_seeds(config)["folds"])
+        expected = {
+            (part.fold_index, split): getattr(part, f"{split}_ids").tolist()
+            for part in partitions
+            for split in ("train", "val", "test")
+        }
+        assert exported == expected
+        report = run_experiment(config)
+        for arm in config.arms:
+            assert [r.n_samples for r in report.per_fold[arm.name]] == [len(p.test_ids) for p in partitions]
+
+    def test_a_new_master_seed_changes_every_derived_seed(self, small_config, tmp_path):
+        config = parse_config(small_config)
+        before, after = resolved_seeds(config), resolved_seeds(dataclasses.replace(config, seed=6))
+        for key in ("master", "data", "folds"):
+            assert before[key] != after[key], key
+        for key in ("init", "shuffle"):
+            assert all(a != b for a, b in zip(before[key], after[key], strict=True)), key
+        configured = dataclasses.replace(config, synth=dataclasses.replace(config.synth, seed=7))
+        assert resolved_seeds(dataclasses.replace(configured, seed=6))["data"] == 7
+        from_csv = dataclasses.replace(config, synth=None, csv_path=tmp_path / "x.csv")
+        assert resolved_seeds(from_csv)["data"] is None
+        assert resolved_seeds(dataclasses.replace(from_csv, seed=6))["data"] is None
+
+
 class TestRunExperiment:
     def test_report_shape_and_mean_invariant(self, small_config):
         report = run_experiment(parse_config(small_config))
@@ -570,8 +626,6 @@ class TestRenderReport:
             arm_names=("a", "b"),
             per_fold={"a": [rep], "b": [rep]},
             means={"a": rep, "b": rep},
-            config_echo={},
-            seeds={},
         )
         table = render_report(report, tmp_path / "out")
         body = table.splitlines()[1:]

@@ -11,6 +11,7 @@ allocates fresh arrays at every step, and ``mean_recall`` to a per-class loop.
 """
 
 import csv
+import itertools
 import math
 import tempfile
 from pathlib import Path
@@ -284,13 +285,26 @@ def test_write_partitions_csv_matches_csv_writer(partitions):
     )
 
 
+def reference_records(path, fh):
+    """``(line number, row)`` for each ``csv.reader`` record; a ``csv.Error`` becomes a ``ParseError``."""
+    rows = csv.reader(fh)
+    for lineno in itertools.count(1):
+        try:
+            row = next(rows)
+        except StopIteration:
+            return
+        except csv.Error as e:
+            raise ParseError(f"{path}: line {lineno}: {e}") from None
+        yield lineno, row
+
+
 def reference_load_csv(path):
     """The row-by-row loader: ``csv.reader``, then ``int``/``float`` and the four checks per row."""
     ids, labels, features = [], [], []
     with open(path, newline="") as fh:
-        rows = csv.reader(fh)
-        width = len(next(rows))
-        for lineno, row in enumerate(rows, start=2):
+        records = reference_records(path, fh)
+        width = len(next(records)[1])
+        for lineno, row in records:
             where = f"{path}: line {lineno}: "
             if len(row) != width:
                 raise ParseError(f"{where}expected {width} columns, got {len(row)}")
@@ -353,7 +367,7 @@ def csv_files(draw):
 def loaded_or_error(loader, path):
     try:
         return loader(path)
-    except (ParseError, csv.Error) as e:
+    except ParseError as e:
         return f"{type(e).__name__}: {e}"
 
 

@@ -195,59 +195,62 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
 def load_csv(path: str | Path) -> Dataset:
     """Load a dataset from the documented ``id,label,f1,...,fd`` format."""
     path = Path(path)
-    with path.open(newline="") as fh:
-        try:
-            header = [h.strip() for h in next(csv.reader(fh))]
-        except StopIteration:
-            raise ParseError(f"{path}: empty file, no samples") from None
-        except csv.Error as e:  # a field beyond csv.field_size_limit(), or a NUL before Python 3.11
-            raise ParseError(f"{path}: line 1: {e}") from None
-        if len(header) < 3 or header[0] != "id" or header[1] != "label":
-            raise ParseError(f"{path}: line 1: header must be 'id,label,f1,...,fd', got {','.join(header)!r}")
-        dim = len(header) - 2
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            try:
+                header = [h.strip() for h in next(csv.reader(fh))]
+            except StopIteration:
+                raise ParseError(f"{path}: empty file, no samples") from None
+            except csv.Error as e:  # a field beyond csv.field_size_limit(), or a NUL before Python 3.11
+                raise ParseError(f"{path}: line 1: {e}") from None
+            if len(header) < 3 or header[0] != "id" or header[1] != "label":
+                raise ParseError(f"{path}: line 1: header must be 'id,label,f1,...,fd', got {','.join(header)!r}")
+            dim = len(header) - 2
 
-        ids, labels, features = array("q"), array("q"), array("d")
-        record = np.dtype([("id", np.int64), ("label", np.int64), ("f", np.float64, (dim,))])
-        while lines := fh.readlines(_CHUNK_BYTES):
-            with warnings.catch_warnings(record=True) as warned:
-                warnings.simplefilter("always")  # numpy warns of blank chunks, and 1.x of float-like ints
-                try:
-                    part = np.loadtxt(lines, record, delimiter=",", comments=None, quotechar=None, ndmin=1)
-                    class_onehot(part["label"])
-                except ValueError:
+            ids, labels, features = array("q"), array("q"), array("d")
+            record = np.dtype([("id", np.int64), ("label", np.int64), ("f", np.float64, (dim,))])
+            while lines := fh.readlines(_CHUNK_BYTES):
+                with warnings.catch_warnings(record=True) as warned:
+                    warnings.simplefilter("always")  # numpy warns of blank chunks, and 1.x of float-like ints
+                    try:
+                        part = np.loadtxt(lines, record, delimiter=",", comments=None, quotechar=None, ndmin=1)
+                        class_onehot(part["label"])
+                    except ValueError:
+                        break
+                # numpy skips blank lines (csv: 0-column rows), reads \x1c-\x1f as spaces and has no field size limit
+                declined = warned or len(part) != len(lines) or max(map(len, lines)) > csv.field_size_limit()
+                declined = declined or any(map("".join(lines).__contains__, "\x1c\x1d\x1e\x1f"))
+                if declined or (part["id"] < 0).any() or not np.isfinite(part["f"]).all():
                     break
-            # numpy skips blank lines (csv: 0-column rows), reads \x1c-\x1f as spaces and has no field size limit
-            declined = warned or len(part) != len(lines) or max(map(len, lines)) > csv.field_size_limit()
-            declined = declined or any(map("".join(lines).__contains__, "\x1c\x1d\x1e\x1f"))
-            if declined or (part["id"] < 0).any() or not np.isfinite(part["f"]).all():
-                break
-            for buffer, field in ((ids, "id"), (labels, "label"), (features, "f")):
-                buffer.frombytes(part[field].tobytes())
-        # every accepted chunk held one sample per line, so line numbers carry on
-        lineno = len(ids) + 1  # the last line read whole
-        try:
-            for lineno, row in enumerate(csv.reader(chain(lines, fh)), start=lineno + 1):
-                if len(row) != dim + 2:
-                    raise ParseError(f"{path}: line {lineno}: expected {dim + 2} columns, got {len(row)}")
-                try:
-                    sample_id = int(row[0])
-                    label = int(row[1])
-                    values = [float(v) for v in row[2:]]
-                except ValueError as e:
-                    raise ParseError(f"{path}: line {lineno}: {e}") from None
-                if label not in CLASSES:
-                    raise ParseError(f"{path}: line {lineno}: label must be 0, 1, or 2, got {label}")
-                if sample_id < 0:
-                    raise ParseError(f"{path}: line {lineno}: id must be non-negative, got {sample_id}")
-                if not all(map(math.isfinite, values)):
-                    raise ParseError(f"{path}: line {lineno}: features must be finite")
-                if sample_id > _MAX_ID:
-                    raise ParseError(f"{path}: line {lineno}: id must be at most {_MAX_ID}, got {sample_id}")
-                ids.append(sample_id)
-                labels.append(label)
-                features.extend(values)
-        except csv.Error as e:
-            raise ParseError(f"{path}: line {lineno + 1}: {e}") from None
+                for buffer, field in ((ids, "id"), (labels, "label"), (features, "f")):
+                    buffer.frombytes(part[field].tobytes())
+            # every accepted chunk held one sample per line, so line numbers carry on
+            lineno = len(ids) + 1  # the last line read whole
+            try:
+                for lineno, row in enumerate(csv.reader(chain(lines, fh)), start=lineno + 1):
+                    if len(row) != dim + 2:
+                        raise ParseError(f"{path}: line {lineno}: expected {dim + 2} columns, got {len(row)}")
+                    try:
+                        sample_id = int(row[0])
+                        label = int(row[1])
+                        values = [float(v) for v in row[2:]]
+                    except ValueError as e:
+                        raise ParseError(f"{path}: line {lineno}: {e}") from None
+                    if label not in CLASSES:
+                        raise ParseError(f"{path}: line {lineno}: label must be 0, 1, or 2, got {label}")
+                    if sample_id < 0:
+                        raise ParseError(f"{path}: line {lineno}: id must be non-negative, got {sample_id}")
+                    if not all(map(math.isfinite, values)):
+                        raise ParseError(f"{path}: line {lineno}: features must be finite")
+                    if sample_id > _MAX_ID:
+                        raise ParseError(f"{path}: line {lineno}: id must be at most {_MAX_ID}, got {sample_id}")
+                    ids.append(sample_id)
+                    labels.append(label)
+                    features.extend(values)
+            except csv.Error as e:
+                raise ParseError(f"{path}: line {lineno + 1}: {e}") from None
+    except UnicodeDecodeError as e:  # read in chunks, so the byte's line is not known
+        raise ParseError(f"{path}: not UTF-8: can't decode byte 0x{e.object[e.start]:02x}: {e.reason}") from None
 
     if not ids:
         raise ParseError(f"{path}: no samples")

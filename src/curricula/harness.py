@@ -154,10 +154,10 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
-    with path.open() as fh:
+    with path.open("rb") as fh:  # yaml decodes the bytes, so a bad one is a YAMLError too
         try:
             raw = yaml.safe_load(fh)
-        except yaml.YAMLError as e:  # its text names the file, line and column
+        except yaml.YAMLError as e:  # its text names the file, and the line and column or byte
             raise ConfigError(str(e)) from None
     raw = _require_mapping(raw, "config", {"data", "train", "arms", *_CONFIG_KEYS})
 
@@ -168,11 +168,9 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
     train = _build(TrainConfig, _fields(raw.get("train", {}), "train", _TRAIN_KEYS), "train", _TRAIN_KEYS)
 
-    if "arms" not in raw:
-        raise ConfigError("config: missing required section 'arms'")
-    if not isinstance(raw["arms"], list) or not raw["arms"]:
-        raise ConfigError("arms must be a non-empty list")
-    arms = tuple(_arm(arm, f"arms[{i}]", train.epochs) for i, arm in enumerate(raw["arms"]))
+    arms = raw.get("arms")  # anything but a list is left to ExperimentConfig's check
+    if isinstance(arms, list):
+        arms = [_arm(arm, f"arms[{i}]", train.epochs) for i, arm in enumerate(arms)]
 
     fields = {field: raw[key] for key, field in _CONFIG_KEYS.items() if key in raw}
     fields.update({**data, "train": train, "arms": arms})

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .data import CLASSES, class_onehot
+from .data import CLASSES
 
 #: Probabilities are clamped to this floor (and 1 minus it) inside log terms.
 PROB_FLOOR = 1e-12
@@ -124,30 +124,26 @@ def combined_loss_grad(scores, y: int, lam: float) -> np.ndarray:
 _CLASS_0 = np.array([1.0, 0.0, 0.0])
 
 
-def batch_combined_loss_grad(scores: np.ndarray, labels: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+def batch_combined_loss_grad(scores: np.ndarray, onehot: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised per-sample losses and score gradients for a batch.
 
-    ``scores`` has shape (n, 3) and ``labels`` shape (n,). Returns the
-    per-sample blended losses (n,) and the per-sample gradients (n, 3).
-    Every call validates its inputs and raises ``ValueError`` unless
-    ``lam`` lies in [0, 1], ``labels`` is one-dimensional with every
-    entry 0, 1 or 2 (integer, float or bool dtype), and ``scores`` is a
-    finite (n, 3) array. Both outputs are bit-equal, sample by sample, to
+    ``scores`` has shape (n, 3) and ``onehot`` is the bool (n, 3) one-hot
+    of the labels that ``data.class_onehot`` returns, which checks them.
+    Returns the per-sample blended losses (n,) and the per-sample gradients
+    (n, 3). Every call raises ``ValueError`` unless ``lam`` lies in [0, 1]
+    and ``scores`` is a finite array of the one-hot's (n, 3) shape. Both
+    outputs are bit-equal, sample by sample, to
     ``combined_loss(softmax(scores[i]), labels[i], lam)`` and
     ``combined_loss_grad(scores[i], labels[i], lam)``: each element goes
     through the same floating-point operations in the same order.
     """
     lam = _check_weight(lam)
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be one-dimensional, got shape {labels.shape}")
-    n = labels.shape[0]
-    if scores.shape != (n, 3):
-        raise ValueError(f"expected scores of shape ({n}, 3), got {scores.shape}")
+    n = len(onehot)
+    if scores.shape != (n, 3) or onehot.shape != (n, 3):
+        raise ValueError(f"expected scores and one-hot of shape ({n}, 3), got {scores.shape} and {onehot.shape}")
     if np.count_nonzero(np.isfinite(scores)) != scores.size:
         raise ValueError("scores must be finite")
-    onehot = class_onehot(labels)
     is_0 = onehot[:, 0]
 
     # softmax() written out for three columns, without its reduction calls:

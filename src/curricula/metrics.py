@@ -37,7 +37,7 @@ class MetricsReport:
             raise ValueError(f"n_samples must be positive, got {self.n_samples}")
 
 
-def _check_inputs(probs, labels) -> tuple[np.ndarray, np.ndarray]:
+def _check_inputs(probs, labels, every_class: bool = False) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(probs, dtype=np.float64)
     y = np.asarray(labels)
     if p.ndim != 2 or p.shape[1] != 3:
@@ -49,7 +49,9 @@ def _check_inputs(probs, labels) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(p)):
         raise ValueError("probabilities must be finite")
     # The raw labels, before any cast: as int64, 1.5 would pass as 1.
-    class_onehot(y)
+    present = class_onehot(y).any(axis=0)
+    if every_class and not present.all():
+        raise ValueError(f"class {int(np.argmin(present))} is absent from labels")
     return p, y.astype(np.int64, copy=False)
 
 
@@ -77,10 +79,7 @@ def mean_recall(pred_labels: np.ndarray, true_labels: np.ndarray) -> float:
 
 def balanced_accuracy(probs, labels) -> float:
     """Unweighted mean of the three per-class recalls; every class must be present."""
-    p, y = _check_inputs(probs, labels)
-    for c in CLASSES:
-        if not (y == c).any():
-            raise ValueError(f"class {c} is absent from labels")
+    p, y = _check_inputs(probs, labels, every_class=True)
     return mean_recall(np.argmax(p, axis=1), y)
 
 
@@ -113,14 +112,8 @@ def auc_binary(scores, targets) -> float:
 
 def average_auc(probs, labels) -> float:
     """Macro one-vs-rest AUC: mean over classes of AUC(p[:, c], y == c)."""
-    p, y = _check_inputs(probs, labels)
-    aucs = []
-    for c in CLASSES:
-        target = (y == c).astype(np.int64)
-        if target.sum() == 0:
-            raise ValueError(f"class {c} is absent from labels")
-        aucs.append(auc_binary(p[:, c], target))
-    return float(np.mean(aucs))
+    p, y = _check_inputs(probs, labels, every_class=True)
+    return float(np.mean([auc_binary(p[:, c], (y == c).astype(np.int64)) for c in CLASSES]))
 
 
 def binary_task_metrics(probs, labels) -> tuple[float, float]:
@@ -140,14 +133,13 @@ def binary_task_metrics(probs, labels) -> tuple[float, float]:
 
 
 def evaluate(probs, labels) -> MetricsReport:
-    """All five metrics in one report."""
-    p, y = _check_inputs(probs, labels)
-    binary_acc, binary_auc_value = binary_task_metrics(p, y)
+    """All five metrics in one report; each metric function checks the inputs."""
+    binary_acc, binary_auc_value = binary_task_metrics(probs, labels)
     return MetricsReport(
-        accuracy=accuracy(p, y),
-        balanced_accuracy=balanced_accuracy(p, y),
-        average_auc=average_auc(p, y),
+        accuracy=accuracy(probs, labels),
+        balanced_accuracy=balanced_accuracy(probs, labels),
+        average_auc=average_auc(probs, labels),
         binary_accuracy=binary_acc,
         binary_auc=binary_auc_value,
-        n_samples=int(p.shape[0]),
+        n_samples=len(labels),
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._checks import real, whole, wholes
-from .data import CLASSES, Dataset
+from .data import CLASSES, Dataset, class_onehot
 from .losses import batch_combined_loss_grad, softmax
 from .metrics import mean_recall
 
@@ -184,17 +184,17 @@ def train_epoch(
     """
     n = len(train_set)
     order = rng.permutation(n)
-    # One gather per epoch; each batch is then a contiguous slice of it.
+    # One gather, and one label check, per epoch; each batch is then a
+    # contiguous slice of them.
     features = train_set.features[order]
-    labels = train_set.labels[order]
+    onehot = class_onehot(train_set.labels[order])
     total_loss = 0.0
     for start in range(0, n, config.batch_size):
         x = features[start : start + config.batch_size]
-        y = labels[start : start + config.batch_size]
         scores, activations = _forward(params, x, workspace)
-        losses, grads = batch_combined_loss_grad(scores, y, lam)
+        losses, grads = batch_combined_loss_grad(scores, onehot[start : start + config.batch_size], lam)
         total_loss += float(losses.sum())
-        grads /= len(y)
+        grads /= len(x)
         _backward(params, grads, activations, workspace)
         # dw * lr is the same IEEE product as lr * dw, element by element.
         workspace.grads *= config.learning_rate

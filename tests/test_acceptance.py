@@ -99,11 +99,12 @@ def test_criterion_3_gradient_oracle():
             assert _relative_error(analytic, fd) < 1e-4
 
         # full-network backprop on random small networks
+        from curricula.data import class_onehot
         from curricula.losses import batch_combined_loss_grad
         from curricula.model import Workspace, _backward, _forward
 
         def batch_loss(params, x, y, lam):
-            losses, _ = batch_combined_loss_grad(_forward(params, x)[0], y, lam)
+            losses, _ = batch_combined_loss_grad(_forward(params, x)[0], class_onehot(y), lam)
             return float(losses.mean())
 
         checks = 0
@@ -113,7 +114,7 @@ def test_criterion_3_gradient_oracle():
             y = rng.integers(3, size=4)
             lam = float(rng.uniform())
             scores, activations = _forward(params, x)
-            _, grads = batch_combined_loss_grad(scores, y, lam)
+            _, grads = batch_combined_loss_grad(scores, class_onehot(y), lam)
             weight_grads, bias_grads = _backward(params, grads / len(y), activations, Workspace(params, len(y)))
 
             tensors = list(zip(params.weights, weight_grads)) + list(

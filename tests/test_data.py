@@ -1,6 +1,10 @@
 import csv
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from curricula.data import (
     ParseError,
     SynthConfig,
     class_means,
+    class_onehot,
     generate_synthetic,
     load_csv,
     stratified_kfold,
@@ -56,6 +61,21 @@ class TestDataset:
             Dataset(np.full((2, 2), np.nan), np.array([0, 1]), np.array([0, 1]))
         with pytest.raises(ValueError):
             Dataset(np.ones((0, 2)), np.array([]), np.array([]))
+
+    def test_class_onehot_checks_labels_of_every_dtype(self):
+        # One comparison covers every dtype; bools pass as 0 and 1.
+        for labels in (
+            np.array([0, -1, 2], dtype=np.int8),
+            np.array([0, 255, 2], dtype=np.uint8),
+            np.array([0, 3, 2]),
+            np.array([0.0, 1.5, 2.0]),
+            np.array([0.0, np.nan, 2.0]),
+        ):
+            with pytest.raises(ValueError, match="^labels must be 0, 1, or 2$"):
+                class_onehot(labels)
+        onehot = class_onehot(np.array([True, False, True]))
+        assert onehot.dtype == bool
+        np.testing.assert_array_equal(onehot, [[0, 1, 0], [1, 0, 0], [0, 1, 0]])
 
     def test_caller_keeps_a_writable_feature_array(self):
         features, labels, ids = np.zeros((3, 2)), np.array([0, 1, 2]), np.arange(3)
@@ -309,6 +329,39 @@ class TestCsv:
         with pytest.raises(ParseError) as caught:
             load_csv(path)
         assert str(caught.value) == f"{path}: line 152: {message}"
+        assert len(calls) > 10  # the rows before it went through numpy, chunk by chunk
+
+    def test_utf8_is_read_whatever_the_locale(self, tmp_path):
+        path = tmp_path / "utf8.csv"
+        path.write_bytes("id,label,\u00e9\r\n0,2,1.5\r\n".encode())
+        # The C locale without UTF-8 mode or coercion: open() would default to ASCII.
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        env["PYTHONPATH"] = str(Path(data.__file__).parents[1])
+        script = "import sys; from curricula.data import load_csv; print(load_csv(sys.argv[1]).labels.tolist())"
+        run = subprocess.run([sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True)
+        assert (run.returncode, run.stdout) == (0, "[2]\n"), run.stderr
+
+    def test_non_utf8_header_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("id,label,\u00e9t\u00e9\r\n0,2,1.5\r\n".encode("latin-1"))
+        with pytest.raises(ParseError) as caught:
+            load_csv(path)
+        assert str(caught.value) == f"{path}: not UTF-8: can't decode byte 0xe9: invalid continuation byte"
+
+    def test_non_utf8_byte_after_accepted_chunks_names_the_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "_CHUNK_BYTES", 64)  # about six rows a chunk
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+        # well past the first 8 KiB the text layer decodes at once
+        rows = [f"{i},{i % 3},{i}.5" for i in range(2000)]
+        path = tmp_path / "bad.csv"
+        text = ("id,label,f1\r\n" + "\r\n".join(rows) + "\r\n").encode()
+        at = text.index(b"1500,0,")
+        path.write_bytes(text[:at] + b"\xff" + text[at:])
+        with pytest.raises(ParseError) as caught:
+            load_csv(path)
+        assert str(caught.value) == f"{path}: not UTF-8: can't decode byte 0xff: invalid start byte"
         assert len(calls) > 10  # the rows before it went through numpy, chunk by chunk
 
 

@@ -287,6 +287,14 @@ class TestParseConfig:
                 "data:\n  synthetic:\n    counts: [10, 10, 10]\ntrain: []\narms:\n  - {kind: step}\n",
                 "train must be a mapping, got list",
             ),
+            # ExperimentConfig alone owns the arms rule, whatever the file holds instead of a list
+            ("data:\n  synthetic:\n    counts: [10, 10, 10]\n", "arms must be a non-empty list of Arm, got None"),
+            ("data:\n  synthetic:\n    counts: [10, 10, 10]\narms: []\n", "arms must be a non-empty list of Arm, got []"),
+            ("data:\n  synthetic:\n    counts: [10, 10, 10]\narms: step\n", "arms must be a non-empty list of Arm, got 'step'"),
+            (
+                "data:\n  synthetic:\n    counts: [10, 10, 10]\narms: {kind: step}\n",
+                "arms must be a non-empty list of Arm, got {'kind': 'step'}",
+            ),
             (
                 "data:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: exponential, epsilon: 0}\n",
                 "arms[0].epsilon must lie in (0, 1), got 0.0",
@@ -309,6 +317,18 @@ class TestParseConfig:
         message = str(excinfo.value)
         assert "while parsing a flow sequence" in message
         assert re.search(r'in ".*broken\.yaml", line 3, column 13', message), message
+
+    def test_non_utf8_config_is_a_config_error_naming_file_and_byte(self, tmp_path):
+        text = "data:\n  csv: caf\u00e9.csv\narms:\n  - {kind: step}\n".encode("latin-1")
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(text)
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(path)
+        message, at = str(excinfo.value), text.index(b"\xe9")
+        assert re.search(rf'in ".*latin1\.yaml", position {at}$', message), message
+        # the same text in UTF-8 parses
+        path.write_bytes(text.decode("latin-1").encode())
+        assert parse_config(path).csv_path == Path("caf\u00e9.csv")
 
 
 SPEC = SchedulerSpec(kind="step", switch_epoch=2)

@@ -157,6 +157,15 @@ class TestAverageAuc:
         )
         assert average_auc(probs, labels) == pytest.approx(expected, abs=0)
 
+    def test_absent_class_named_in_error(self):
+        # the first absent class, found before any one-vs-rest AUC is taken
+        probs = np.ones((4, 3)) / 3
+        for labels, absent in (([0, 0, 1, 1], 2), ([0, 0, 0, 0], 1), ([2, 1, 2, 1], 0)):
+            with pytest.raises(ValueError, match=f"^class {absent} is absent from labels$"):
+                average_auc(probs, labels)
+            with pytest.raises(ValueError, match=f"^class {absent} is absent from labels$"):
+                balanced_accuracy(probs, labels)
+
     def test_random_labels_near_half(self):
         rng = np.random.default_rng(4)
         probs = random_probs(rng, 1000)

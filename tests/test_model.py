@@ -3,7 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from curricula.data import Dataset, SynthConfig, generate_synthetic
+from curricula import losses as losses_mod
+from curricula import model as model_mod
+from curricula.data import Dataset, SynthConfig, class_onehot, generate_synthetic
 from curricula.losses import batch_combined_loss_grad, combined_loss, combined_loss_grad, softmax
 from curricula.metrics import accuracy
 from curricula.model import (
@@ -28,7 +30,7 @@ def batch_loss(params, x, y, lam):
     """Scalar batch loss used by the finite-difference oracle."""
     from curricula.model import _forward
 
-    losses, _ = batch_combined_loss_grad(_forward(params, x)[0], y, lam)
+    losses, _ = batch_combined_loss_grad(_forward(params, x)[0], class_onehot(y), lam)
     return float(losses.mean())
 
 
@@ -158,7 +160,7 @@ def test_backprop_matches_finite_differences():
             lam = float(rng.uniform())
 
             scores, activations = _forward(params, x)
-            _, grads = batch_combined_loss_grad(scores, y, lam)
+            _, grads = batch_combined_loss_grad(scores, class_onehot(y), lam)
             weight_grads, bias_grads = _backward(params, grads / len(y), activations, Workspace(params, len(y)))
 
             step = 1e-6
@@ -255,11 +257,35 @@ def test_epoch_with_a_workspace_allocates_only_its_gather():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    # The epoch gathers its shuffled features and labels once. Beyond that only
+    # The epoch gathers its shuffled features and labels once, and makes the
+    # labels' one-hot (3 bytes a row) from the gather. Beyond that only
     # small per-step arrays may live; one 128 x 256 float64 temporary (256 KiB)
     # already breaks the bound.
     gather = dataset.features.nbytes + dataset.labels.nbytes
     assert peak < gather + 128 * 1024, (peak, gather)
+
+
+def test_an_epoch_checks_its_labels_once(monkeypatch):
+    checked, batches = [], []
+
+    def counted_onehot(labels):
+        checked.append(len(labels))
+        return class_onehot(labels)
+
+    def counted_kernel(scores, onehot, lam):
+        batches.append(len(onehot))
+        return batch_combined_loss_grad(scores, onehot, lam)
+
+    # each module that could check a batch's labels, whether or not it binds the name
+    for module in (losses_mod, model_mod):
+        monkeypatch.setattr(module, "class_onehot", counted_onehot, raising=False)
+    monkeypatch.setattr(model_mod, "batch_combined_loss_grad", counted_kernel)
+    dataset = tiny_dataset(np.random.default_rng(9), n=35 * 8 - 3)
+    config = TrainConfig(batch_size=8, hidden_sizes=(4,))
+    params = init([3, 4, 3], seed=1)
+    train_epoch(params, dataset, 0.5, config, np.random.default_rng(2), Workspace(params, 8))
+    assert batches == [8] * 34 + [5]
+    assert checked == [len(dataset)]
 
 
 def test_training_is_deterministic():

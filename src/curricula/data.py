@@ -124,7 +124,10 @@ class Dataset:
     def subset(self, ids: np.ndarray) -> "Dataset":
         """The sub-dataset holding exactly the given ids, in the given order."""
         wanted = np.asarray(ids).ravel()
-        query = wanted.astype(np.int64)
+        with np.errstate(invalid="ignore"):  # NaN, inf and out-of-range floats fail the round trip
+            query = wanted.astype(np.int64)
+        if (query != wanted).any():
+            raise ValueError(f"id {wanted[np.argmax(query != wanted)]} is not a whole number in int64 range")
         order = np.argsort(self.ids)
         sorted_ids = self.ids[order]
         pos = np.minimum(np.searchsorted(sorted_ids, query), len(sorted_ids) - 1)

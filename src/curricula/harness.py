@@ -155,10 +155,14 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     with path.open("rb") as fh:  # yaml decodes the bytes, so a bad one is a YAMLError too
+        utf16 = fh.peek(2)[:2] in (b"\xff\xfe", b"\xfe\xff")  # the byte-order marks yaml reads as UTF-16
         try:
             raw = yaml.safe_load(fh)
         except yaml.YAMLError as e:  # its text names the file, and the line and column or byte
             raise ConfigError(str(e)) from None
+    if not isinstance(raw, dict):
+        read_as = "; it starts with a UTF-16 byte-order mark, so it was read as UTF-16" if utf16 else ""
+        raise ConfigError(f"config {path} must be a mapping, got {type(raw).__name__}{read_as}")
     raw = _require_mapping(raw, "config", {"data", "train", "arms", *_CONFIG_KEYS})
 
     data = _fields(raw.get("data", {}), "data", _DATA_KEYS)

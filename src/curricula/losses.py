@@ -135,7 +135,8 @@ def batch_combined_loss_grad(scores: np.ndarray, onehot: np.ndarray, lam: float)
     outputs are bit-equal, sample by sample, to
     ``combined_loss(softmax(scores[i]), labels[i], lam)`` and
     ``combined_loss_grad(scores[i], labels[i], lam)``: each element goes
-    through the same floating-point operations in the same order.
+    through the same floating-point operations in the same order. At
+    ``lam == 0`` the easy term, which would add only zeros, is skipped.
     """
     lam = _check_weight(lam)
     scores = np.asarray(scores, dtype=np.float64)
@@ -155,6 +156,12 @@ def batch_combined_loss_grad(scores: np.ndarray, onehot: np.ndarray, lam: float)
     total = p0 + p[:, 1]
     total += p[:, 2]
     p /= total[:, None]
+    if lam == 0.0:
+        # Plain cross entropy, with the blended form's bits: that form adds
+        # +0.0 to each loss (the clamped coarse log is negative, its weight
+        # -0.0) and ±0.0 to each gradient (p - onehot is never -0.0).
+        hard = np.minimum(np.maximum(p[onehot], PROB_FLOOR), 1.0 - PROB_FLOOR)
+        return np.negative(np.log(hard, out=hard), out=hard), p - onehot
 
     # Row 0 holds p[y], row 1 the coarse probability: 1 - p0, or p0 at label 0.
     terms = np.empty((2, n))

@@ -159,7 +159,7 @@ def _backward(params: ModelParams, score_grad: np.ndarray, activations, workspac
     delta = score_grad
     for l in range(len(params.weights) - 1, -1, -1):
         np.matmul(delta.T, activations[l], out=workspace.weight_grads[l])
-        delta.sum(axis=0, out=workspace.bias_grads[l])
+        np.add.reduce(delta, axis=0, out=workspace.bias_grads[l])  # ndarray.sum minus its Python wrapper
         if l > 0:
             delta = np.matmul(delta, params.weights[l], out=workspace.deltas[l - 1][:rows])
             # The mask as 1.0/0.0 floats: the same products as a bool mask,
@@ -193,7 +193,7 @@ def train_epoch(
         x = features[start : start + config.batch_size]
         scores, activations = _forward(params, x, workspace)
         losses, grads = batch_combined_loss_grad(scores, onehot[start : start + config.batch_size], lam)
-        total_loss += float(losses.sum())
+        total_loss += float(np.add.reduce(losses))
         grads /= len(x)
         _backward(params, grads, activations, workspace)
         # dw * lr is the same IEEE product as lr * dw, element by element.

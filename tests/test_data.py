@@ -49,6 +49,13 @@ class TestDataset:
         with pytest.raises(ValueError):
             ds.subset(np.array([99]))
 
+    def test_subset_checks_ids_before_the_int64_cast(self):
+        ds = Dataset(np.arange(8).reshape(4, 2), np.array([0, 1, 2, 1]), np.array([3, 1, 4, 1 + 8]))
+        for bad in (1.5, np.nan, np.inf):  # as int64, 1.5 would select id 1
+            with pytest.raises(ValueError, match=rf"^id {bad} is not a whole number in int64 range$"):
+                ds.subset(np.array([4.0, bad]))
+        np.testing.assert_array_equal(ds.subset(np.array([4.0, 1.0])).ids, [4, 1])
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Dataset(np.ones((2, 2)), np.array([0, 3]), np.array([0, 1]))  # bad label

@@ -330,6 +330,23 @@ class TestParseConfig:
         path.write_bytes(text.decode("latin-1").encode())
         assert parse_config(path).csv_path == Path("caf\u00e9.csv")
 
+    @pytest.mark.parametrize("bom", [b"\xff\xfe", b"\xfe\xff"])
+    def test_non_mapping_config_names_the_file_and_a_utf16_reading(self, tmp_path, bom):
+        path = tmp_path / "bom.yaml"
+        path.write_bytes(bom + b"seed: 1\n")  # not UTF-16: it decodes to one CJK string
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(path)
+        read_as = "; it starts with a UTF-16 byte-order mark, so it was read as UTF-16"
+        assert str(excinfo.value) == f"config {path} must be a mapping, got str{read_as}"
+        path.write_bytes(b"- seed: 1\n")
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(path)
+        assert str(excinfo.value) == f"config {path} must be a mapping, got list"
+        # a real UTF-16 config, with its byte-order mark, still loads
+        text = "seed: 3\ndata:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: step}\n"
+        path.write_bytes(bom + text.encode("utf-16-le" if bom == b"\xff\xfe" else "utf-16-be"))
+        assert parse_config(path).seed == 3
+
 
 SPEC = SchedulerSpec(kind="step", switch_epoch=2)
 

@@ -48,7 +48,9 @@ from curricula.model import TrainConfig, Workspace, init, train_epoch
 # Differences of a few hundred between scores push softmax outputs far
 # below PROB_FLOOR, down to exact zeros.
 SCORE = st.floats(min_value=-400.0, max_value=400.0, allow_nan=False, allow_infinity=False)
-LAM = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+# -0.0 passes the weight check and takes the kernel's plain cross-entropy
+# branch; 5e-324, the smallest positive float, takes the blended path.
+LAM = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0]), st.floats(min_value=0.0, max_value=1.0))
 
 
 @st.composite
@@ -81,7 +83,7 @@ def test_batch_is_bit_equal_to_scalar_ops(batch, lam):
     assert_bit_equal_to_scalar(scores, labels, lam)
 
 
-@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("lam", [0.0, -0.0, 0.5, 1.0])
 def test_bit_equal_where_probabilities_hit_the_floor(lam):
     # Rows whose softmax puts p[y], p[0] or 1 - p[0] below PROB_FLOOR,
     # including probabilities that underflow to exactly 0.

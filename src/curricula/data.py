@@ -64,6 +64,19 @@ def _has_repeats(ids: np.ndarray) -> bool:
     return bool((ordered[1:] == ordered[:-1]).any())
 
 
+def _int64_ids(values) -> np.ndarray:
+    """``values`` as int64 ids, checked before the cast: raises naming the first
+    that is not a non-negative whole number in int64 range."""
+    wanted = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # NaN, inf and out-of-range floats fail the round trip
+        ids = wanted.astype(np.int64, copy=False)
+    if (ids != wanted).any():
+        raise ValueError(f"id {wanted[ids != wanted][0]} is not a whole number in int64 range")
+    if (ids < 0).any():
+        raise ValueError(f"ids must be non-negative, got {ids[ids < 0][0]}")
+    return ids
+
+
 def _frozen(array: np.ndarray) -> np.ndarray:
     """``array``, made read-only in place: how a producer passes ``Dataset`` ownership."""
     array.setflags(write=False)
@@ -88,7 +101,7 @@ class Dataset:
         kept = [isinstance(a, np.ndarray) and not a.flags.writeable for a in (self.features, self.labels, self.ids)]
         features = (np.asarray if kept[0] else np.array)(self.features, dtype=np.float64, order="C")
         labels = np.asarray(self.labels)
-        ids = (np.asarray if kept[2] else np.array)(self.ids, dtype=np.int64)
+        ids = (np.asarray if kept[2] else np.array)(_int64_ids(self.ids))
         if features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {features.shape}")
         n = features.shape[0]
@@ -103,8 +116,6 @@ class Dataset:
         # The raw labels, before the cast: as int64, 1.5 would pass as 1.
         class_onehot(labels)
         labels = labels.astype(np.int64, copy=not kept[1])
-        if (ids < 0).any():
-            raise ValueError("ids must be non-negative")
         if _has_repeats(ids):
             raise ValueError("ids must be unique")
         object.__setattr__(self, "features", _frozen(features))
@@ -123,18 +134,14 @@ class Dataset:
 
     def subset(self, ids: np.ndarray) -> "Dataset":
         """The sub-dataset holding exactly the given ids, in the given order."""
-        wanted = np.asarray(ids).ravel()
-        with np.errstate(invalid="ignore"):  # NaN, inf and out-of-range floats fail the round trip
-            query = wanted.astype(np.int64)
-        if (query != wanted).any():
-            raise ValueError(f"id {wanted[np.argmax(query != wanted)]} is not a whole number in int64 range")
+        query = _int64_ids(np.ravel(ids))
         order = np.argsort(self.ids)
         sorted_ids = self.ids[order]
         pos = np.minimum(np.searchsorted(sorted_ids, query), len(sorted_ids) - 1)
         found = sorted_ids[pos] == query
         if not found.all():
             first_missing = int(np.argmin(found))
-            raise ValueError(f"id {int(wanted[first_missing])} not present in dataset")
+            raise ValueError(f"id {query[first_missing]} not present in dataset")
         rows = order[pos]
         return Dataset(*(_frozen(a[rows]) for a in (self.features, self.labels, self.ids)))
 
@@ -292,7 +299,7 @@ class FoldPartition:
 
     def __post_init__(self) -> None:
         for name in ("train_ids", "val_ids", "test_ids"):
-            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=np.int64)))
+            object.__setattr__(self, name, _frozen(np.array(_int64_ids(getattr(self, name)))))
         if _has_repeats(np.concatenate([self.train_ids, self.val_ids, self.test_ids])):
             raise ValueError("train/val/test id sets must be pairwise disjoint")
         if len(self.train_ids) == 0 or len(self.test_ids) == 0:
@@ -304,10 +311,11 @@ def stratified_kfold(
 ) -> list[FoldPartition]:
     """Stratified k-fold partitions with a per-class train/validation split.
 
-    Within each class, sample ids are shuffled once with the seeded
-    generator and dealt round-robin into k folds, so per-class fold sizes
-    differ by at most 1. Partition ``i`` uses fold ``i`` as the test set;
-    the remaining ids of each class are reshuffled (generator seeded by
+    Within each class, the sorted ids are shuffled once with the seeded
+    generator and dealt round-robin into k folds, so the folds depend on
+    the ids and not on the row order, and per-class fold sizes differ by
+    at most 1. Partition ``i`` uses fold ``i`` as the test set; the
+    remaining ids of each class are reshuffled (generator seeded by
     ``[seed, i]``) and split val/train at ``val_fraction``, rounded to the
     nearest integer per class. All per-class counts therefore stay within
     one sample of exact proportionality. Raises ``ValueError`` if a class
@@ -327,8 +335,7 @@ def stratified_kfold(
     rng = np.random.default_rng(seed)
     folds_by_class: list[list[np.ndarray]] = []
     for c in CLASSES:
-        class_ids = dataset.ids[dataset.labels == c]
-        perm = rng.permutation(class_ids)
+        perm = rng.permutation(np.sort(dataset.ids[dataset.labels == c]))
         folds_by_class.append([perm[j::k] for j in range(k)])
 
     partitions = []

@@ -143,7 +143,7 @@ def batch_combined_loss_grad(scores: np.ndarray, onehot: np.ndarray, lam: float)
     n = len(onehot)
     if scores.shape != (n, 3) or onehot.shape != (n, 3):
         raise ValueError(f"expected scores and one-hot of shape ({n}, 3), got {scores.shape} and {onehot.shape}")
-    if np.count_nonzero(np.isfinite(scores)) != scores.size:
+    if not np.logical_and.reduce(np.isfinite(scores), axis=None):
         raise ValueError("scores must be finite")
     is_0 = onehot[:, 0]
 

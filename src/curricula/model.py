@@ -34,31 +34,36 @@ class TrainConfig:
         object.__setattr__(self, "hidden_sizes", wholes(self.hidden_sizes, "hidden_sizes"))
 
 
-def _layer_views(flat: np.ndarray, sizes: tuple[int, ...]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Each layer's weight and bias as views of ``flat``, layer by layer, weights first."""
+def _layer_views(sizes: tuple[int, ...], flat: np.ndarray | None = None):
+    """A parameter buffer for ``sizes`` (``flat``, or zeros) and each layer's weight
+    and bias as views of it: layer by layer, the weights (row-major), then the biases."""
+    n = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+    flat = np.zeros(n) if flat is None else flat
+    if flat.shape != (n,):
+        raise ValueError(f"layer sizes {sizes} need a flat buffer of {n} parameters, got shape {flat.shape}")
     weights, biases, start = [], [], 0
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         weights.append(flat[start : start + fan_out * fan_in].reshape(fan_out, fan_in))
         start += fan_out * fan_in
         biases.append(flat[start : start + fan_out])
         start += fan_out
-    return weights, biases
+    return flat, weights, biases
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelParams:
-    """Per-layer weight matrices and bias vectors in one flat buffer.
+    """Per-layer weight matrices and bias vectors, as views of one flat buffer.
 
     ``weights[l]`` has shape (layer_sizes[l+1], layer_sizes[l]) and acts on
     column features from the left; the final layer is always 3 wide. The
-    constructor copies the given arrays into ``flat`` and keeps views of it,
-    so one in-place operation on ``flat`` updates every layer.
+    constructor copies ``flat``, laid out as ``_layer_views`` says, so one
+    in-place operation on ``params.flat`` updates every layer.
     """
 
     layer_sizes: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    flat: np.ndarray
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         sizes = tuple(int(s) for s in self.layer_sizes)
@@ -68,43 +73,29 @@ class ModelParams:
             raise ValueError(f"layer sizes must be positive, got {sizes}")
         if sizes[-1] != len(CLASSES):
             raise ValueError(f"final layer must have width {len(CLASSES)}, got {sizes[-1]}")
-        n_layers = len(sizes) - 1
-        if len(self.weights) != n_layers or len(self.biases) != n_layers:
-            raise ValueError("weights/biases must hold one entry per layer")
+        self.layer_sizes = sizes
+        self.flat, self.weights, self.biases = _layer_views(sizes, np.array(self.flat, dtype=np.float64))
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (sizes[l + 1], sizes[l]):
-                raise ValueError(
-                    f"layer {l} weights must have shape {(sizes[l + 1], sizes[l])}, got {w.shape}"
-                )
-            if b.shape != (sizes[l + 1],):
-                raise ValueError(f"layer {l} biases must have shape ({sizes[l + 1]},), got {b.shape}")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {l} parameters must be finite")
-        self.layer_sizes = sizes
-        self.flat = np.empty(sum(w.size + b.size for w, b in zip(self.weights, self.biases)))
-        weights, biases = _layer_views(self.flat, sizes)
-        for view, array in zip(weights + biases, [*self.weights, *self.biases]):
-            view[...] = array
-        self.weights, self.biases = weights, biases
 
     @property
     def input_dim(self) -> int:
         return self.layer_sizes[0]
 
     def copy(self) -> "ModelParams":
-        """An independent copy: the constructor copies into a new buffer."""
-        return ModelParams(self.layer_sizes, self.weights, self.biases)
+        """An independent copy: the constructor copies the buffer."""
+        return ModelParams(self.layer_sizes, self.flat)
 
 
 def init(layer_sizes, seed: int) -> ModelParams:
     """Fresh parameters: weights ~ N(0, 1/fan_in), biases zero, seeded."""
     sizes = tuple(int(s) for s in layer_sizes)
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(rng.standard_normal((fan_out, fan_in)) / np.sqrt(fan_in))
-        biases.append(np.zeros(fan_out))
-    return ModelParams(sizes, weights, biases)
+    flat, weights, _ = _layer_views(sizes)
+    for w in weights:
+        w[...] = rng.standard_normal(w.shape) / np.sqrt(w.shape[1])
+    return ModelParams(sizes, flat)
 
 
 class Workspace:
@@ -117,8 +108,7 @@ class Workspace:
         hidden = params.layer_sizes[1:-1]
         self.activations = [np.empty((rows, width)) for width in hidden]
         self.deltas = [np.empty((rows, width)) for width in hidden]
-        self.grads = np.empty_like(params.flat)
-        self.weight_grads, self.bias_grads = _layer_views(self.grads, params.layer_sizes)
+        self.grads, self.weight_grads, self.bias_grads = _layer_views(params.layer_sizes)
 
 
 def _forward(params: ModelParams, x: np.ndarray, workspace: Workspace | None = None):

@@ -56,6 +56,24 @@ class TestDataset:
                 ds.subset(np.array([4.0, bad]))
         np.testing.assert_array_equal(ds.subset(np.array([4.0, 1.0])).ids, [4, 1])
 
+    @pytest.mark.parametrize("where", ["Dataset", "subset", "FoldPartition"])
+    def test_every_id_is_checked_before_the_int64_cast(self, where):
+        # As int64, 1.5 and 2.9 would be read as ids 1 and 2.
+        ds = Dataset(np.zeros((3, 2)), np.array([0, 1, 2]), np.array([1, 2, 3]))
+        ids_of = {
+            "Dataset": lambda ids: Dataset(np.zeros((2, 2)), np.array([0, 1]), ids).ids,
+            "subset": lambda ids: ds.subset(ids).ids,
+            "FoldPartition": lambda ids: FoldPartition(0, ids, [7.0], [8.0]).train_ids,
+        }[where]
+        for bad in (1.5, 2.9, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=rf"^id {bad} is not a whole number in int64 range$"):
+                ids_of(np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="^ids must be non-negative, got -1$"):
+            ids_of(np.array([1.0, -1.0]))
+        with pytest.raises(ValueError, match="^ids must be non-negative, got -1$"):
+            ids_of(np.array([1, -1]))
+        assert ids_of(np.array([1.0, 2.0])).tolist() == [1, 2]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Dataset(np.ones((2, 2)), np.array([0, 3]), np.array([0, 1]))  # bad label

@@ -8,15 +8,17 @@ stays exact.
 """
 
 import os
+import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import yaml
 
 import curricula
 from curricula import cli
-from curricula.harness import parse_config, render_report, run_experiment
+from curricula.harness import Arm, parse_config, render_report, run_experiment
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -52,3 +54,52 @@ def test_golden_run_from_its_generated_csv(tmp_path, monkeypatch):
     Path("csv.yaml").write_text(yaml.safe_dump(config))
     assert cli.main(["run", "--config", "csv.yaml", "--out", "out"]) == 0
     assert Path("out/per_fold.csv").read_bytes() == (GOLDEN / "per_fold.csv").read_bytes()
+
+
+def per_fold_rows(config, out_dir) -> dict[str, list[str]]:
+    """The run's per_fold.csv rows, without the arm column, by arm name."""
+    render_report(run_experiment(config), out_dir)
+    rows: dict[str, list[str]] = {}
+    for line in (out_dir / "per_fold.csv").read_text().splitlines()[1:]:
+        arm, rest = line.split(",", 1)
+        rows.setdefault(arm, []).append(rest)
+    return rows
+
+
+def run_on_edited_golden_csv(tmp_path, edit) -> bytes:
+    """per_fold.csv of the golden config run on its data as gen-data writes it,
+    with the list of data lines (header excluded) passed through ``edit``."""
+    data_csv = tmp_path / "data.csv"
+    assert cli.main(["gen-data", "--config", str(GOLDEN / "config.yaml"), "--out", str(data_csv)]) == 0
+    header, *rows = data_csv.read_text().splitlines()
+    data_csv.write_text("\n".join([header, *edit(rows)]) + "\n")
+    config = replace(parse_config(GOLDEN / "config.yaml"), synth=None, csv_path=data_csv)
+    render_report(run_experiment(config), tmp_path / "out")
+    return (tmp_path / "out" / "per_fold.csv").read_bytes()
+
+
+def test_golden_run_does_not_depend_on_the_csv_row_order(tmp_path):
+    def shuffled(rows):
+        random.Random(0).shuffle(rows)
+        return rows
+
+    assert run_on_edited_golden_csv(tmp_path, shuffled) == (GOLDEN / "per_fold.csv").read_bytes()
+
+
+def test_golden_run_does_not_depend_on_an_id_offset(tmp_path):
+    def shifted(rows):
+        return [f"{int(row.split(',', 1)[0]) + 10**12},{row.split(',', 1)[1]}" for row in rows]
+
+    assert run_on_edited_golden_csv(tmp_path, shifted) == (GOLDEN / "per_fold.csv").read_bytes()
+
+
+def test_each_arms_golden_rows_do_not_depend_on_the_other_arms(tmp_path):
+    config = parse_config(GOLDEN / "config.yaml")
+    golden = per_fold_rows(config, tmp_path / "golden")
+    assert (tmp_path / "golden" / "per_fold.csv").read_bytes() == (GOLDEN / "per_fold.csv").read_bytes()
+    assert per_fold_rows(replace(config, arms=config.arms[::-1]), tmp_path / "reversed") == golden
+    for arm in config.arms:
+        assert per_fold_rows(replace(config, arms=(arm,)), tmp_path / arm.name) == {arm.name: golden[arm.name]}
+    again = Arm(name="linear_again", spec=config.arms[1].spec)
+    repeated = per_fold_rows(replace(config, arms=(*config.arms, again)), tmp_path / "repeated")
+    assert repeated == {**golden, "linear_again": golden["linear"]}

@@ -56,29 +56,48 @@ def test_init_scale_tracks_fan_in():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        ModelParams((2, 4), [np.zeros((4, 2))], [np.zeros(4)])  # final width not 3
-    with pytest.raises(ValueError):
-        ModelParams((2, 3), [np.zeros((3, 3))], [np.zeros(3)])  # bad weight shape
-    with pytest.raises(ValueError):
-        ModelParams((2, 3), [np.full((3, 2), np.nan)], [np.zeros(3)])
+    with pytest.raises(ValueError, match="^final layer must have width 3, got 4$"):
+        ModelParams((2, 4), np.zeros(12))
+    with pytest.raises(ValueError, match="^layer sizes must be positive, got"):
+        ModelParams((2, 0, 3), np.zeros(3))
+    with pytest.raises(ValueError, match="^layer_sizes needs at least an input and an output layer$"):
+        ModelParams((3,), np.zeros(0))
+    with pytest.raises(ValueError, match=r"^layer sizes \(2, 3\) need a flat buffer of 9 parameters, got shape \(8,\)$"):
+        ModelParams((2, 3), np.zeros(8))
+    with pytest.raises(ValueError, match=r"got shape \(9, 1\)$"):
+        ModelParams((2, 3), np.zeros((9, 1)))
+    for l, at in ((0, 3), (0, 11), (1, 12), (1, 26)):  # a weight and a bias of each layer
+        flat = np.zeros(27)
+        flat[at] = np.nan
+        with pytest.raises(ValueError, match=f"^layer {l} parameters must be finite$"):
+            ModelParams((2, 4, 3), flat)
 
 
 def test_params_live_in_one_flat_buffer_and_copies_are_independent():
-    weights, biases = [np.ones((4, 2)), np.full((3, 4), 2.0)], [np.zeros(4), np.full(3, 3.0)]
-    params = ModelParams((2, 4, 3), weights, biases)
-    # The constructor copies, weights before biases, layer by layer.
-    np.testing.assert_array_equal(params.flat, [1.0] * 8 + [0.0] * 4 + [2.0] * 12 + [3.0] * 3)
-    weights[0][0, 0] = 9.0
-    assert params.weights[0][0, 0] == 1.0
+    # The layout, layer by layer: the weights (row-major), then the biases.
+    given = np.arange(27)
+    params = ModelParams((2, 4, 3), given)
+    assert params.flat.dtype == np.float64
+    np.testing.assert_array_equal(params.weights[0], np.arange(8).reshape(4, 2))
+    np.testing.assert_array_equal(params.biases[0], np.arange(8, 12))
+    np.testing.assert_array_equal(params.weights[1], np.arange(12, 24).reshape(3, 4))
+    np.testing.assert_array_equal(params.biases[1], np.arange(24, 27))
+    # The constructor copies the buffer, and every layer is a view of the copy.
+    assert not np.shares_memory(params.flat, given)
+    assert all(np.shares_memory(a, params.flat) for a in params.weights + params.biases)
     params.flat += 1.0
-    assert params.weights[1][0, 0] == 3.0 and params.biases[1][0] == 4.0
+    assert params.weights[1][0, 0] == 13.0 and params.biases[1][0] == 25.0
     copy = params.copy()
     before = params.flat.copy()
     copy.weights[0][0, 0] = -5.0
     copy.biases[1] += 7.0
     assert params.flat.tobytes() == before.tobytes()
-    assert copy.flat[0] == -5.0 and copy.flat[-1] == 11.0
+    assert copy.flat[0] == -5.0 and copy.flat[-1] == 34.0
+
+
+def test_params_compare_by_identity():
+    params = init([2, 4, 3], seed=0)
+    assert params == params and params != params.copy()  # an array-valued field comparison would raise
 
 
 def test_workspace_gradients_live_in_one_buffer_shaped_like_the_params():
@@ -90,7 +109,7 @@ def test_workspace_gradients_live_in_one_buffer_shaped_like_the_params():
 
 
 def test_zero_params_predict_uniform():
-    params = ModelParams((5, 3), [np.zeros((3, 5))], [np.zeros(3)])
+    params = ModelParams((5, 3), np.zeros(18))
     np.testing.assert_allclose(predict_proba_batch(params, np.ones((1, 5)))[0], [1 / 3] * 3, atol=0)
 
 
@@ -104,7 +123,7 @@ def test_predictions_are_probabilities():
 
 def test_handcrafted_weights_pick_class_2():
     weights = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 3.0]])
-    params = ModelParams((2, 3), [weights], [np.zeros(3)])
+    params = ModelParams((2, 3), np.concatenate([weights.ravel(), np.zeros(3)]))
     assert int(np.argmax(predict_proba_batch(params, np.array([[1.0, 1.0]]))[0])) == 2
 
 

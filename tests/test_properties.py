@@ -8,12 +8,14 @@ must load what a row-by-row ``csv.reader`` loader loads, or fail with its
 message, and ``stratified_kfold`` must keep its fold contract for any class counts.
 An SGD epoch that fills a reused workspace must be bit-equal to one that
 allocates fresh arrays at every step, and ``mean_recall`` to a per-class loop.
+A run on a CSV must not depend on the order of its rows.
 """
 
 import csv
 import itertools
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -30,6 +32,8 @@ from curricula.data import (
     FoldPartition,
     ParseError,
     class_onehot,
+    SynthConfig,
+    generate_synthetic,
     load_csv,
     stratified_kfold,
     write_csv,
@@ -42,8 +46,10 @@ from curricula.losses import (
     combined_loss_grad,
     softmax,
 )
+from curricula.harness import Arm, ExperimentConfig, resolved_synth, run_experiment
 from curricula.metrics import mean_recall
 from curricula.model import TrainConfig, Workspace, init, train_epoch
+from curricula.scheduler import SchedulerSpec
 
 # Differences of a few hundred between scores push softmax outputs far
 # below PROB_FLOOR, down to exact zeros.
@@ -516,3 +522,25 @@ def test_workspace_epochs_are_bit_equal_to_fresh_arrays(run):
     for a, b in zip(ours.weights + ours.biases, reference.weights + reference.biases):
         np.testing.assert_array_equal(a, b)
         assert a.tobytes() == b.tobytes()
+
+
+# 30 samples, 2 folds, 2 epochs: a run small enough to repeat per example.
+TINY_RUN = ExperimentConfig(
+    train=TrainConfig(epochs=2, batch_size=8, hidden_sizes=(4,)),
+    arms=(Arm("constant_zero", SchedulerSpec("constant_zero", 1)), Arm("linear", SchedulerSpec("linear", 2))),
+    synth=SynthConfig(counts=(10, 10, 10)),
+    k=2,
+    seed=4,
+)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.permutations(range(30)))
+def test_a_run_on_a_csv_does_not_depend_on_its_row_order(order):
+    dataset = generate_synthetic(resolved_synth(TINY_RUN))
+    shuffled = Dataset(*(a[list(order)] for a in (dataset.features, dataset.labels, dataset.ids)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        write_csv(shuffled, path)
+        report = run_experiment(replace(TINY_RUN, synth=None, csv_path=path))
+    assert report.per_fold == run_experiment(TINY_RUN).per_fold

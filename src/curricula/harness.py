@@ -54,6 +54,8 @@ class Arm:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ValueError(f"name must be a non-empty string, got {self.name!r}")
+        if not self.name.isprintable() or {",", '"'} & set(self.name):  # it is a field of the result files
+            raise ValueError(f"name must hold no comma, double quote or unprintable character, got {self.name!r}")
         if not isinstance(self.spec, SchedulerSpec):
             raise ValueError(f"spec must be a SchedulerSpec, got {self.spec!r}")
 
@@ -276,41 +278,38 @@ PER_FOLD_HEADER = "arm,fold," + ",".join(METRIC_NAMES)
 MEANS_HEADER = "arm," + ",".join(METRIC_NAMES)
 
 
+def _csv_row(keys: tuple, rep: MetricsReport) -> str:
+    """A per_fold.csv or means.csv row: its keys, then each metric's ``repr``."""
+    return ",".join([*map(str, keys), *(repr(getattr(rep, m)) for m in METRIC_NAMES)])
+
+
 def render_report(report: ExperimentReport, out_dir: str | Path) -> str:
     """Write per_fold.csv, means.csv, and report.txt; return the table text.
 
     The table has one row per arm in config order, the five metric columns
     to three decimals, and the per-column maximum marked with ``*``.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    per_fold_lines = [PER_FOLD_HEADER]
-    for name in report.arm_names:
-        for fold, rep in enumerate(report.per_fold[name]):
-            values = ",".join(repr(getattr(rep, m)) for m in METRIC_NAMES)
-            per_fold_lines.append(f"{name},{fold},{values}")
-    (out_dir / "per_fold.csv").write_text("\n".join(per_fold_lines) + "\n")
-
-    means_lines = [MEANS_HEADER]
-    for name in report.arm_names:
-        values = ",".join(repr(getattr(report.means[name], m)) for m in METRIC_NAMES)
-        means_lines.append(f"{name},{values}")
-    (out_dir / "means.csv").write_text("\n".join(means_lines) + "\n")
+    names = report.arm_names
+    per_fold = [_csv_row((name, fold), rep) for name in names for fold, rep in enumerate(report.per_fold[name])]
+    means = [_csv_row((name,), report.means[name]) for name in names]
 
     col_max = {
-        m: max(getattr(report.means[name], m) for name in report.arm_names) for m in METRIC_NAMES
+        m: max(getattr(report.means[name], m) for name in names) for m in METRIC_NAMES
     }
-    name_width = max(len("arm"), max(len(n) for n in report.arm_names))
+    name_width = max(len("arm"), max(len(n) for n in names))
     header_cells = ["arm".ljust(name_width)] + [m.rjust(18) for m in METRIC_NAMES]
-    lines = ["  ".join(header_cells)]
-    for name in report.arm_names:
+    table = ["  ".join(header_cells)]
+    for name in names:
         cells = [name.ljust(name_width)]
         for m in METRIC_NAMES:
             value = getattr(report.means[name], m)
             mark = "*" if value == col_max[m] else " "
             cells.append(f"{value:.3f}{mark}".rjust(18))
-        lines.append("  ".join(cells))
-    table = "\n".join(lines) + "\n"
-    (out_dir / "report.txt").write_text(table)
-    return table
+        table.append("  ".join(cells))
+
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    files = {"per_fold.csv": [PER_FOLD_HEADER, *per_fold], "means.csv": [MEANS_HEADER, *means], "report.txt": table}
+    for file_name, lines in files.items():
+        (out_dir / file_name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(table) + "\n"

@@ -34,9 +34,16 @@ class TrainConfig:
         object.__setattr__(self, "hidden_sizes", wholes(self.hidden_sizes, "hidden_sizes"))
 
 
-def _layer_views(sizes: tuple[int, ...], flat: np.ndarray | None = None):
-    """A parameter buffer for ``sizes`` (``flat``, or zeros) and each layer's weight
-    and bias as views of it: layer by layer, the weights (row-major), then the biases."""
+def _layer_views(layer_sizes, flat: np.ndarray | None = None):
+    """The checked sizes, a parameter buffer for them (``flat``, or zeros) and each layer's
+    weight and bias as views of it: layer by layer, the weights (row-major), then the biases."""
+    sizes = tuple(int(s) for s in layer_sizes)
+    if len(sizes) < 2:
+        raise ValueError("layer_sizes needs at least an input and an output layer")
+    if any(s < 1 for s in sizes):
+        raise ValueError(f"layer sizes must be positive, got {sizes}")
+    if sizes[-1] != len(CLASSES):
+        raise ValueError(f"final layer must have width {len(CLASSES)}, got {sizes[-1]}")
     n = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
     flat = np.zeros(n) if flat is None else flat
     if flat.shape != (n,):
@@ -47,7 +54,7 @@ def _layer_views(sizes: tuple[int, ...], flat: np.ndarray | None = None):
         start += fan_out * fan_in
         biases.append(flat[start : start + fan_out])
         start += fan_out
-    return flat, weights, biases
+    return sizes, flat, weights, biases
 
 
 @dataclass(eq=False)
@@ -66,22 +73,11 @@ class ModelParams:
     biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.layer_sizes)
-        if len(sizes) < 2:
-            raise ValueError("layer_sizes needs at least an input and an output layer")
-        if any(s < 1 for s in sizes):
-            raise ValueError(f"layer sizes must be positive, got {sizes}")
-        if sizes[-1] != len(CLASSES):
-            raise ValueError(f"final layer must have width {len(CLASSES)}, got {sizes[-1]}")
-        self.layer_sizes = sizes
-        self.flat, self.weights, self.biases = _layer_views(sizes, np.array(self.flat, dtype=np.float64))
+        flat = np.array(self.flat, dtype=np.float64)
+        self.layer_sizes, self.flat, self.weights, self.biases = _layer_views(self.layer_sizes, flat)
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {l} parameters must be finite")
-
-    @property
-    def input_dim(self) -> int:
-        return self.layer_sizes[0]
 
     def copy(self) -> "ModelParams":
         """An independent copy: the constructor copies the buffer."""
@@ -90,9 +86,8 @@ class ModelParams:
 
 def init(layer_sizes, seed: int) -> ModelParams:
     """Fresh parameters: weights ~ N(0, 1/fan_in), biases zero, seeded."""
-    sizes = tuple(int(s) for s in layer_sizes)
+    sizes, flat, weights, _ = _layer_views(layer_sizes)
     rng = np.random.default_rng(seed)
-    flat, weights, _ = _layer_views(sizes)
     for w in weights:
         w[...] = rng.standard_normal(w.shape) / np.sqrt(w.shape[1])
     return ModelParams(sizes, flat)
@@ -108,7 +103,7 @@ class Workspace:
         hidden = params.layer_sizes[1:-1]
         self.activations = [np.empty((rows, width)) for width in hidden]
         self.deltas = [np.empty((rows, width)) for width in hidden]
-        self.grads, self.weight_grads, self.bias_grads = _layer_views(params.layer_sizes)
+        _, self.grads, self.weight_grads, self.bias_grads = _layer_views(params.layer_sizes)
 
 
 def _forward(params: ModelParams, x: np.ndarray, workspace: Workspace | None = None):
@@ -132,8 +127,8 @@ def _forward(params: ModelParams, x: np.ndarray, workspace: Workspace | None = N
 def predict_proba_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Class probabilities (softmax of the final scores), one row per sample."""
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.input_dim:
-        raise ValueError(f"expected an (n, {params.input_dim}) feature matrix, got shape {x.shape}")
+    if x.ndim != 2 or x.shape[1] != params.layer_sizes[0]:
+        raise ValueError(f"expected an (n, {params.layer_sizes[0]}) feature matrix, got shape {x.shape}")
     return softmax(_forward(params, x)[0])
 
 
@@ -228,8 +223,7 @@ def train(
             f"need one curriculum weight per epoch ({config.epochs}), got {len(lambdas)}"
         )
 
-    best_score = -np.inf
-    best_epoch = -1
+    best_epoch = 0
     epoch_losses: list[float] = []
     val_scores: list[float] = []
     workspace = Workspace(params, min(config.batch_size, len(train_set)))
@@ -239,11 +233,10 @@ def train(
                 epoch_losses.append(train_epoch(params, train_set, lam, config, rng, workspace))
                 probs = predict_proba_batch(params, val_set.features)
                 score = mean_recall(np.argmax(probs, axis=1), val_set.labels)
-                val_scores.append(score)
-                if score > best_score:
-                    best_score = score
+                if epoch == 0 or score > val_scores[best_epoch]:
                     best_epoch = epoch
                     best_params = params.copy()
+                val_scores.append(score)
             except ValueError as e:
                 raise ValueError(f"epoch {epoch}: {e}") from e
     return TrainResult(

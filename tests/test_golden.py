@@ -1,19 +1,28 @@
-"""Golden run: a small checked-in experiment whose per_fold.csv must not move.
+"""Golden run: a small checked-in experiment whose per_fold.csv, means.csv and
+report.txt must not move.
 
-The expected file was produced by this package on CPython 3.11, numpy 2.x
-with OpenBLAS. A refactor must reproduce it byte for byte. An intended
-numeric change regenerates it, and the reason is recorded with the change.
-If it differs on another CPU or BLAS build, report that; the comparison
-stays exact.
+The expected files were produced by this package on CPython 3.11, numpy 2.x
+with OpenBLAS. A refactor must reproduce them byte for byte. An intended
+numeric change regenerates them, and the reason is recorded with the change.
+If they differ on another CPU or BLAS build, report that; the comparison
+stays exact. Two tests re-run the golden config with numpy's SIMD dispatch
+held to its baseline and with OpenBLAS's Haswell kernels, the settings in
+which an x86-64 machine stands in for an older one.
 """
 
+import ctypes
+import glob
+import inspect
 import os
+import platform
 import random
 import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+import pytest
 import yaml
 
 import curricula
@@ -21,13 +30,15 @@ from curricula import cli
 from curricula.harness import Arm, parse_config, render_report, run_experiment
 
 GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_FILES = ("per_fold.csv", "means.csv", "report.txt")
 
 
 def test_golden_per_fold_csv_is_byte_identical(tmp_path):
-    # 3 arms x 3 folds x 10 epochs on 150 synthetic samples
+    # 3 arms x 3 folds x 10 epochs on 150 synthetic samples; means.csv and report.txt too
     config = parse_config(GOLDEN / "config.yaml")
     render_report(run_experiment(config), tmp_path)
-    assert (tmp_path / "per_fold.csv").read_bytes() == (GOLDEN / "per_fold.csv").read_bytes()
+    for name in GOLDEN_FILES:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def test_golden_run_needs_no_scipy(tmp_path):
@@ -43,6 +54,57 @@ def test_golden_run_needs_no_scipy(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
     assert (tmp_path / "per_fold.csv").read_bytes() == (GOLDEN / "per_fold.csv").read_bytes()
+
+
+def openblas_configs() -> list[str]:
+    """The config string of each OpenBLAS bundled with numpy (as scipy-openblas)."""
+    configs = []
+    for lib_path in glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "libscipy_openblas*.so")):
+        get_config = getattr(ctypes.CDLL(lib_path), "scipy_openblas_get_config64_", None)
+        if get_config is not None:
+            get_config.restype = ctypes.c_char_p
+            configs.append(get_config().decode())
+    return configs
+
+
+def active_dispatch_features() -> list[str]:
+    """numpy's non-baseline SIMD dispatch targets that this CPU runs."""
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    return [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+
+
+# The child's check that a setting took effect, by the variable that sets it.
+SETTING_CHECKS = {
+    "NPY_DISABLE_CPU_FEATURES": "from numpy._core._multiarray_umath import __cpu_features__\n"
+    "named = os.environ['NPY_DISABLE_CPU_FEATURES'].split()\n"
+    "assert not any(__cpu_features__[f] for f in named), named\n",
+    "OPENBLAS_CORETYPE": inspect.getsource(openblas_configs)
+    + "configs = openblas_configs()\n"
+    "assert configs and all('Haswell' in c.split() for c in configs), configs\n",
+}
+
+
+@pytest.mark.parametrize("variable", SETTING_CHECKS)
+def test_golden_run_holds_on_an_older_cpu_and_blas_core(tmp_path, variable):
+    if platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip(f"the dispatch targets and the Haswell core are x86-64's; this is {platform.machine()}")
+    if not openblas_configs():
+        pytest.skip("numpy does not bundle scipy-openblas here, so its core cannot be named or checked")
+    value = " ".join(active_dispatch_features()) if variable == "NPY_DISABLE_CPU_FEATURES" else "Haswell"
+    script = (
+        "import ctypes, glob, os\n"
+        "from pathlib import Path\n"
+        "import numpy as np\n"
+        f"{SETTING_CHECKS[variable]}"
+        "from curricula import cli\n"
+        f"raise SystemExit(cli.main(['run', '--config', {str(GOLDEN / 'config.yaml')!r}, '--out', {str(tmp_path)!r}]))\n"
+    )
+    src = str(Path(curricula.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env[variable] = value
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120, stdout=subprocess.DEVNULL)
+    for name in GOLDEN_FILES:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def test_golden_run_from_its_generated_csv(tmp_path, monkeypatch):

@@ -215,6 +215,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unique"):
             parse_config(path)
 
+    @pytest.mark.parametrize("name", ["a,b", 'say "hi"', "line\nbreak", "tab\tstop", "bell\x07", "\u2028"])
+    def test_arm_names_that_break_the_result_files_rejected(self, tmp_path, name):
+        text = yaml.safe_dump({"data": {"synthetic": {"counts": [10, 10, 10]}}, "arms": [{"kind": "step", "name": name}]})
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(write_config(tmp_path, text))
+        assert str(excinfo.value) == (
+            f"arms[0].name must hold no comma, double quote or unprintable character, got {name!r}"
+        )
+
     def test_bad_kind_rejected(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -645,6 +654,20 @@ class TestRenderReport:
         assert lines[1].startswith("constant_zero")
         assert lines[2].startswith("step")
         assert table == (out / "report.txt").read_text()
+
+    def test_arm_names_with_spaces_and_non_ascii_letters_run(self, tmp_path):
+        config = yaml.safe_load(SMALL_CONFIG)
+        names = ["plain cross entropy", "Stufe λ → 0"]
+        for arm, name in zip(config["arms"], names):
+            arm["name"] = name
+        report = run_experiment(parse_config(write_config(tmp_path, yaml.safe_dump(config))))
+        table = render_report(report, tmp_path / "out")
+        per_fold = (tmp_path / "out" / "per_fold.csv").read_text(encoding="utf-8").splitlines()
+        assert [line.split(",")[0] for line in per_fold[1:]] == [names[0]] * 3 + [names[1]] * 3
+        assert {len(line.split(",")) for line in per_fold} == {7}
+        means = (tmp_path / "out" / "means.csv").read_text(encoding="utf-8").splitlines()
+        assert [line.split(",")[0] for line in means[1:]] == names
+        assert [line.split("  ")[0].rstrip() for line in table.splitlines()[1:]] == names
 
     def test_column_maxima_marked(self, small_config, tmp_path):
         report = run_experiment(parse_config(small_config))

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,6 +63,11 @@ def test_params_validation():
         ModelParams((2, 0, 3), np.zeros(3))
     with pytest.raises(ValueError, match="^layer_sizes needs at least an input and an output layer$"):
         ModelParams((3,), np.zeros(0))
+    # init checks the sizes before it lays out a buffer for them
+    with pytest.raises(ValueError, match=r"^layer sizes must be positive, got \(2, -1, 3\)$"):
+        init((2, -1, 3), 0)
+    with pytest.raises(ValueError, match="^final layer must have width 3, got 5$"):
+        init((2, 4, 5), 0)
     with pytest.raises(ValueError, match=r"^layer sizes \(2, 3\) need a flat buffer of 9 parameters, got shape \(8,\)$"):
         ModelParams((2, 3), np.zeros(8))
     with pytest.raises(ValueError, match=r"got shape \(9, 1\)$"):
@@ -344,6 +350,22 @@ def test_best_epoch_selection_prefers_earlier_ties():
     result = train(params, dataset, dataset, [0.0] * 3, config, np.random.default_rng(9))
     # A vanishing learning rate makes every epoch score identically.
     assert result.best_epoch == 0
+
+
+def test_a_tie_after_a_rise_keeps_the_earlier_epoch(monkeypatch):
+    scores = iter([0.4, 0.7, 0.7, 0.6])
+    monkeypatch.setattr(model_mod, "mean_recall", lambda predicted, labels: next(scores))
+    dataset = tiny_dataset(np.random.default_rng(6), n=30)
+    config = TrainConfig(learning_rate=0.1, epochs=4, batch_size=8, hidden_sizes=(4,))
+    params = init([3, 4, 3], seed=8)
+    result = train(params, dataset, dataset, [0.5] * 4, config, np.random.default_rng(9))
+    assert result.best_epoch == 1 and result.val_scores == [0.4, 0.7, 0.7, 0.6]
+    monkeypatch.undo()
+    # the snapshot is the state after epoch 1: a 2-epoch run from the same seeds ends there
+    two_epochs = init([3, 4, 3], seed=8)
+    train(two_epochs, dataset, dataset, [0.5] * 2, replace(config, epochs=2), np.random.default_rng(9))
+    assert result.params.flat.tobytes() == two_epochs.flat.tobytes()
+    assert result.params.flat.tobytes() != params.flat.tobytes()
 
 
 def test_train_config_rejects_non_finite_learning_rate():

@@ -1,7 +1,7 @@
 """Experiment harness: config parsing, cross-validated runs, and reports.
 
 A YAML config drives the experiment; its schema is documented in the
-"Config schema" section of README.md. Unknown keys are rejected.
+"Config schema" section of README.md. Unknown and repeated keys are rejected.
 
 Every (arm, fold) run starts from identical initial parameters and the
 same shuffle stream, derived deterministically from the master seed and
@@ -20,7 +20,7 @@ import yaml
 from . import metrics as metrics_mod
 from . import model as model_mod
 from ._checks import file_path, real, whole
-from .data import Dataset, FoldPartition, SynthConfig, generate_synthetic, load_csv, stratified_kfold
+from .data import CLASSES, Dataset, FoldPartition, SynthConfig, generate_synthetic, load_csv, stratified_kfold
 from .metrics import METRIC_NAMES, MetricsReport
 from .model import TrainConfig
 from .scheduler import SchedulerSpec, default_switch_epoch, lambda_at
@@ -125,19 +125,14 @@ def _build(cls, fields: dict, where: str, keys: dict):
         raise ConfigError(f"{where}: {message}" if where else message) from None
 
 
-def _require_mapping(value, where: str, allowed) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a mapping, got {type(value).__name__}")
-    unknown = sorted(set(value) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}; allowed keys are {sorted(allowed)}")
-    return value
-
-
 def _fields(section, where: str, keys: dict, required: str | None = None) -> dict:
     """The values ``section`` sets, by field name. ``section`` must be a
     mapping of ``keys`` only, with ``required`` among them."""
-    section = _require_mapping(section, where, keys)
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a mapping, got {type(section).__name__}")
+    unknown = sorted([key for key in section if key not in keys], key=str)  # a YAML key need not be a string
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}; allowed keys are {sorted(keys)}")
     if required is not None and required not in section:
         raise ConfigError(f"{where}: missing required key {required!r}")
     return {keys[key]: value for key, value in section.items()}
@@ -151,6 +146,17 @@ def _arm(value, where: str, epochs: int) -> Arm:
     return _build(Arm, {"name": name, "spec": spec}, where, _ARM_KEYS)
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):  # a key repeated in one mapping is an error; one merged by << is not
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for k, _ in node.value if isinstance(node, yaml.MappingNode) else ():
+            if isinstance(k, yaml.ScalarNode) and k.tag != "tag:yaml.org,2002:merge":
+                if (key := self.construct_object(k)) in seen:
+                    raise yaml.constructor.ConstructorError(None, None, f"found repeated key {key!r}", k.start_mark)
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def parse_config(path: str | Path) -> ExperimentConfig:
     """Load and fully validate a YAML experiment config."""
     path = Path(path)
@@ -159,26 +165,25 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     with path.open("rb") as fh:  # yaml decodes the bytes, so a bad one is a YAMLError too
         utf16 = fh.peek(2)[:2] in (b"\xff\xfe", b"\xfe\xff")  # the byte-order marks yaml reads as UTF-16
         try:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_UniqueKeyLoader)
         except yaml.YAMLError as e:  # its text names the file, and the line and column or byte
             raise ConfigError(str(e)) from None
     if not isinstance(raw, dict):
         read_as = "; it starts with a UTF-16 byte-order mark, so it was read as UTF-16" if utf16 else ""
         raise ConfigError(f"config {path} must be a mapping, got {type(raw).__name__}{read_as}")
-    raw = _require_mapping(raw, "config", {"data", "train", "arms", *_CONFIG_KEYS})
+    fields = _fields(raw, "config", {"data": "data", "train": "train", "arms": "arms", **_CONFIG_KEYS})
 
-    data = _fields(raw.get("data", {}), "data", _DATA_KEYS)
+    data = _fields(fields.pop("data", {}), "data", _DATA_KEYS)
     if "synth" in data:
         where = "data.synthetic"
         data["synth"] = _build(SynthConfig, _fields(data["synth"], where, _SYNTH_KEYS, "counts"), where, _SYNTH_KEYS)
 
-    train = _build(TrainConfig, _fields(raw.get("train", {}), "train", _TRAIN_KEYS), "train", _TRAIN_KEYS)
+    train = _build(TrainConfig, _fields(fields.pop("train", {}), "train", _TRAIN_KEYS), "train", _TRAIN_KEYS)
 
-    arms = raw.get("arms")  # anything but a list is left to ExperimentConfig's check
+    arms = fields.pop("arms", None)  # anything but a list is left to ExperimentConfig's check
     if isinstance(arms, list):
         arms = [_arm(arm, f"arms[{i}]", train.epochs) for i, arm in enumerate(arms)]
 
-    fields = {field: raw[key] for key, field in _CONFIG_KEYS.items() if key in raw}
     fields.update({**data, "train": train, "arms": arms})
     return _build(ExperimentConfig, fields, "", {**_CONFIG_KEYS, "data.csv": "csv_path"})
 
@@ -210,9 +215,8 @@ def build_dataset(config: ExperimentConfig) -> Dataset:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Per-fold and mean metrics for every arm."""
+    """Per-fold and mean metrics for every arm, in the arm order of ``per_fold``."""
 
-    arm_names: tuple[str, ...]
     per_fold: dict[str, list[MetricsReport]]
     means: dict[str, MetricsReport]
 
@@ -236,7 +240,7 @@ def run_arm_on_fold(
     train_set = dataset.subset(partition.train_ids)
     val_set = dataset.subset(partition.val_ids)
     test_set = dataset.subset(partition.test_ids)
-    layer_sizes = (dataset.feature_dim, *train_config.hidden_sizes, 3)
+    layer_sizes = (dataset.feature_dim, *train_config.hidden_sizes, len(CLASSES))
     params = model_mod.init(layer_sizes, init_seed)
     rng = np.random.default_rng(shuffle_seed)
     lambdas = [lambda_at(arm.spec, e) for e in range(train_config.epochs)]
@@ -267,11 +271,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             per_fold[arm.name].append(report)
 
     means = {name: _mean_report(reports) for name, reports in per_fold.items()}
-    return ExperimentReport(
-        arm_names=tuple(arm.name for arm in config.arms),
-        per_fold=per_fold,
-        means=means,
-    )
+    return ExperimentReport(per_fold=per_fold, means=means)
 
 
 PER_FOLD_HEADER = "arm,fold," + ",".join(METRIC_NAMES)
@@ -286,10 +286,10 @@ def _csv_row(keys: tuple, rep: MetricsReport) -> str:
 def render_report(report: ExperimentReport, out_dir: str | Path) -> str:
     """Write per_fold.csv, means.csv, and report.txt; return the table text.
 
-    The table has one row per arm in config order, the five metric columns
+    The table has one row per arm in the order of ``report.per_fold``, the five metric columns
     to three decimals, and the per-column maximum marked with ``*``.
     """
-    names = report.arm_names
+    names = tuple(report.per_fold)
     per_fold = [_csv_row((name, fold), rep) for name in names for fold, rep in enumerate(report.per_fold[name])]
     means = [_csv_row((name,), report.means[name]) for name in names]
 

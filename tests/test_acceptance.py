@@ -341,7 +341,7 @@ def test_criterion_7_desk_scale_experiment(tmp_path):
         config = parse_config(config_path)
         report = run_experiment(config)
 
-        assert len(report.arm_names) == 8
+        assert len(report.per_fold) == 8
         table = render_report(report, tmp_path / "out")
         lines = table.splitlines()
         assert len(lines) == 9  # header plus one row per arm
@@ -353,7 +353,7 @@ def test_criterion_7_desk_scale_experiment(tmp_path):
             "binary_auc",
         ]
 
-        for name in report.arm_names:
+        for name in report.per_fold:
             assert report.means[name].binary_auc > 0.55, name
 
         # the baseline arm must equal an independently scripted plain run

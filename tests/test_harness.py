@@ -312,12 +312,67 @@ class TestParseConfig:
                 "data:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: step, E: 100}\n",
                 "arms[0]: unknown keys ['E']; allowed keys are ['L', 'epsilon', 'kind', 'name']",
             ),
+            (
+                "data:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: step}\nbogus: 1\n",
+                "config: unknown keys ['bogus']; allowed keys are "
+                "['arms', 'data', 'k', 'out_dir', 'seed', 'train', 'val_fraction']",
+            ),
+            # a YAML key need not be a string; unknown keys of any mix of types are listed
+            (
+                "1: a\nbogus: b\n",
+                "config: unknown keys [1, 'bogus']; allowed keys are "
+                "['arms', 'data', 'k', 'out_dir', 'seed', 'train', 'val_fraction']",
+            ),
+            # keys that read alike stay in file order, whatever the string hash seed
+            (
+                "'1': a\n1: b\n",
+                "config: unknown keys ['1', 1]; allowed keys are "
+                "['arms', 'data', 'k', 'out_dir', 'seed', 'train', 'val_fraction']",
+            ),
+            (
+                "data:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: step, null: 3, warmup: 1}\n",
+                "arms[0]: unknown keys [None, 'warmup']; allowed keys are ['L', 'epsilon', 'kind', 'name']",
+            ),
         ],
     )
     def test_edge_inputs_fail_with_exact_message(self, tmp_path, text, message):
         with pytest.raises(ConfigError) as excinfo:
             parse_config(write_config(tmp_path, text))
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "text, key, line, column",
+        [
+            ("seed: 1\ndata:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: step}\nseed: 3\n", "seed", 7, 1),
+            (
+                "data:\n  synthetic:\n    counts: [10, 10, 10]\n    noise: 1.0\n    noise: 2.0\narms:\n  - {kind: step}\n",
+                "noise",
+                5,
+                5,
+            ),
+            ("data:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: step, kind: linear}\n", "kind", 5, 18),
+            ("data:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - kind: linear\n    L: 25\n    L: 50\n", "L", 7, 5),
+        ],
+    )
+    def test_repeated_key_is_a_config_error_naming_the_key_and_its_line(self, tmp_path, text, key, line, column):
+        path = write_config(tmp_path, text)
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(path)
+        assert str(excinfo.value) == f'found repeated key {key!r}\n  in "{path}", line {line}, column {column}'
+
+    def test_merged_keys_may_be_overridden_and_yaml_keeps_its_own_mapping_errors(self, tmp_path):
+        data = "data:\n  synthetic:\n    counts: [10, 10, 10]\n"
+        text = data + "arms:\n  - &a {kind: linear, L: 2}\n  - {<<: *a, L: 5, name: late}\n"
+        late = parse_config(write_config(tmp_path, text)).arms[1]
+        assert late == Arm(name="late", spec=SchedulerSpec(kind="linear", switch_epoch=5))
+        for text, problem, at in (
+            (data + "arms:\n  - {kind: step, {a: 1}: 2}\n", "found unhashable key", "line 5, column 18"),
+            ("seed: !!map abc\n", "expected a mapping node, but found scalar", "line 1, column 7"),
+        ):
+            path = write_config(tmp_path, text)
+            with pytest.raises(ConfigError) as excinfo:
+                parse_config(path)
+            assert str(excinfo.value).endswith(f'{problem}\n  in "{path}", {at}'), str(excinfo.value)
 
     def test_malformed_yaml_is_a_config_error_naming_file_line_and_column(self, tmp_path):
         path = write_config(tmp_path, "data:\n  synthetic:\n    counts: [10, 10\narms:\n  - {kind: step}\n", "broken.yaml")
@@ -538,8 +593,8 @@ class TestResolvedSeeds:
 class TestRunExperiment:
     def test_report_shape_and_mean_invariant(self, small_config):
         report = run_experiment(parse_config(small_config))
-        assert report.arm_names == ("constant_zero", "step")
-        for name in report.arm_names:
+        assert tuple(report.per_fold) == ("constant_zero", "step")
+        for name in report.per_fold:
             assert len(report.per_fold[name]) == 3
             for metric in ("accuracy", "balanced_accuracy", "average_auc"):
                 per_fold = [getattr(r, metric) for r in report.per_fold[name]]
@@ -683,7 +738,6 @@ class TestRenderReport:
 
         rep = MetricsReport(0.5, 0.5, 0.5, 0.5, 0.5, 10)
         report = ExperimentReport(
-            arm_names=("a", "b"),
             per_fold={"a": [rep], "b": [rep]},
             means={"a": rep, "b": rep},
         )

@@ -16,8 +16,6 @@ log so the losses stay finite at degenerate inputs.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .data import CLASSES
@@ -34,7 +32,7 @@ def _check_fine_label(y: int) -> int:
 
 def _check_weight(lam: float) -> float:
     lam = float(lam)
-    if not (0.0 <= lam <= 1.0) or math.isnan(lam):
+    if not (0.0 <= lam <= 1.0):
         raise ValueError(f"curriculum weight must lie in [0, 1], got {lam}")
     return lam
 
@@ -128,24 +126,24 @@ def batch_combined_loss_grad(scores: np.ndarray, onehot: np.ndarray, lam: float)
     """Vectorised per-sample losses and score gradients for a batch.
 
     ``scores`` has shape (n, 3) and ``onehot`` is the bool (n, 3) one-hot
-    of the labels that ``data.class_onehot`` returns, which checks them.
-    Returns the per-sample blended losses (n,) and the per-sample gradients
-    (n, 3). Every call raises ``ValueError`` unless ``lam`` lies in [0, 1]
-    and ``scores`` is a finite array of the one-hot's (n, 3) shape. Both
-    outputs are bit-equal, sample by sample, to
-    ``combined_loss(softmax(scores[i]), labels[i], lam)`` and
+    from ``data.class_onehot``, whose contract is one mark per row (a check
+    here would cost a reduction per batch). Returns the per-sample blended
+    losses (n,) and gradients (n, 3); every step computes the hard ones, and
+    ``lam == 0`` returns them. A call raises ``ValueError`` unless ``lam``
+    lies in [0, 1], ``scores`` is a finite array of the one-hot's (n, 3)
+    shape and the one-hot is bool with ``n`` marks. Sample i's outputs are
+    bit-equal to ``combined_loss(softmax(scores[i]), labels[i], lam)`` and
     ``combined_loss_grad(scores[i], labels[i], lam)``: each element goes
-    through the same floating-point operations in the same order. At
-    ``lam == 0`` the easy term, which would add only zeros, is skipped.
+    through the same floating-point operations in the same order.
     """
     lam = _check_weight(lam)
     scores = np.asarray(scores, dtype=np.float64)
     n = len(onehot)
-    if scores.shape != (n, 3) or onehot.shape != (n, 3):
-        raise ValueError(f"expected scores and one-hot of shape ({n}, 3), got {scores.shape} and {onehot.shape}")
+    if scores.shape != (n, 3) or onehot.shape != (n, 3) or onehot.dtype != bool:
+        got = f"got {scores.shape} and {onehot.shape} {onehot.dtype}"
+        raise ValueError(f"expected scores and one-hot of shape ({n}, 3), the one-hot bool, {got}")
     if not np.logical_and.reduce(np.isfinite(scores), axis=None):
         raise ValueError("scores must be finite")
-    is_0 = onehot[:, 0]
 
     # softmax() written out for three columns, without its reduction calls:
     # (e0 + e1) + e2 is the order numpy sums a 3-wide row in, so p is bit-equal.
@@ -156,36 +154,36 @@ def batch_combined_loss_grad(scores: np.ndarray, onehot: np.ndarray, lam: float)
     total = p0 + p[:, 1]
     total += p[:, 2]
     p /= total[:, None]
-    if lam == 0.0:
-        # Plain cross entropy, with the blended form's bits: that form adds
-        # +0.0 to each loss (the clamped coarse log is negative, its weight
-        # -0.0) and ±0.0 to each gradient (p - onehot is never -0.0).
-        hard = np.minimum(np.maximum(p[onehot], PROB_FLOOR), 1.0 - PROB_FLOOR)
-        return np.negative(np.log(hard, out=hard), out=hard), p - onehot
-
-    # Row 0 holds p[y], row 1 the coarse probability: 1 - p0, or p0 at label 0.
-    terms = np.empty((2, n))
-    terms[0] = p[onehot]
-    rest = np.subtract(1.0, p0, out=terms[1])
-    # Clamp the denominator like the loss does; at the floor the loss is flat
-    # but the unclamped direction is kept.
-    ratio = p0 / np.maximum(rest, PROB_FLOOR)
-    np.copyto(rest, p0, where=is_0)
-    np.maximum(terms, PROB_FLOOR, out=terms)
-    np.minimum(terms, 1.0 - PROB_FLOOR, out=terms)
-    np.log(terms, out=terms)
-    # -(1 - lam) * log is (1 - lam) * -log exactly: negation is exact.
-    terms *= np.array([[-(1.0 - lam)], [-lam]])
-    losses = terms[1] + terms[0]
-
-    # p - onehot(y): the bool one-hot casts to exact 1.0 and 0.0.
+    # The hard terms: -log p[y] clamped, and p - onehot (bool casts to 1.0 and 0.0).
+    hard = p[onehot]
+    if len(hard) != n:
+        raise ValueError(f"the one-hot must mark {n} classes, got {len(hard)}")
+    np.minimum(np.maximum(hard, PROB_FLOOR, out=hard), 1.0 - PROB_FLOOR, out=hard)
+    np.negative(np.log(hard, out=hard), out=hard)
     grads = p - onehot
+    if lam == 0.0:
+        # The blended form's bits: its easy half adds +0.0 to each loss (a negative
+        # log at weight -0.0) and ±0.0 to each gradient (p - onehot is never -0.0).
+        return hard, grads
+
+    # The coarse probability is 1 - p0, or p0 at label 0. The ratio's denominator is
+    # clamped as in the loss; at the floor the loss is flat, but the direction is kept.
+    losses = 1.0 - p0
+    ratio = p0 / np.maximum(losses, PROB_FLOOR)
+    np.copyto(losses, p0, where=onehot[:, 0])
+    np.minimum(np.maximum(losses, PROB_FLOOR, out=losses), 1.0 - PROB_FLOOR, out=losses)
+    np.log(losses, out=losses)
+    # log * -lam and (1 - lam) * -log are the scalar products: negation is exact.
+    losses *= -lam
+    hard *= 1.0 - lam
+    losses += hard
+
     # onehot(0) - p, over p; the 0.0 - p it takes keeps +0.0 where p is 0, as
     # the scalar op does.
     grad_easy = np.subtract(_CLASS_0, p, out=p)
     grad_easy *= ratio[:, None]
     # For label 0 the easy gradient p - onehot(0) is the hard one itself.
-    np.copyto(grad_easy, grads, where=is_0[:, None])
+    np.copyto(grad_easy, grads, where=onehot[:, :1])
     grad_easy *= lam
     grads *= 1.0 - lam
     grads += grad_easy

@@ -66,8 +66,10 @@ def mean_recall(pred_labels: np.ndarray, true_labels: np.ndarray) -> float:
 
     Model selection scores validation sets with this directly, so a class
     missing from a small validation set is skipped rather than fatal. The
-    labels are non-negative integers; there must be at least one.
+    labels are non-negative integers, at least one, of the predictions' shape.
     """
+    if np.shape(pred_labels) != np.shape(true_labels):
+        raise ValueError(f"expected predictions of shape {np.shape(true_labels)}, got {np.shape(pred_labels)}")
     if len(true_labels) == 0:
         raise ValueError("need at least one sample")
     counts = np.bincount(true_labels)

@@ -189,3 +189,22 @@ def test_batch_input_validation():
                     batch_combined_loss_grad(scores, class_onehot(np.array([0, 1, 2])), 0.5)
     losses, grads = batch_combined_loss_grad(np.zeros((3, 3)), class_onehot(np.array([True, False, True])), 0.5)
     assert losses.shape == (3,) and grads.shape == (3, 3)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_batch_rejects_a_one_hot_that_is_not_bool(dtype, lam):
+    # An int one-hot would gather whole rows as indices, and a float one
+    # cannot index at all.
+    onehot = np.eye(3, dtype=dtype)[[0, 1, 2, 1]]
+    message = rf"^expected scores and one-hot of shape \(4, 3\), the one-hot bool, got \(4, 3\) and \(4, 3\) {dtype.__name__}$"
+    with pytest.raises(ValueError, match=message):
+        batch_combined_loss_grad(np.zeros((4, 3)), onehot, lam)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_batch_rejects_a_one_hot_row_that_marks_no_class(lam):
+    onehot = np.eye(3, dtype=bool)[[0, 1, 2, 1]]
+    onehot[2] = False
+    with pytest.raises(ValueError, match=r"^the one-hot must mark 4 classes, got 3$"):
+        batch_combined_loss_grad(np.zeros((4, 3)), onehot, lam)

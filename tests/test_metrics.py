@@ -91,6 +91,13 @@ class TestMeanRecall:
         with pytest.raises(ValueError, match="^need at least one sample$"):
             mean_recall(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
 
+    def test_predictions_of_another_shape_rejected(self):
+        # numpy would broadcast a single prediction against every label
+        with pytest.raises(ValueError, match=r"^expected predictions of shape \(4,\), got \(1,\)$"):
+            mean_recall(np.array([0]), np.array([0, 0, 1, 1]))
+        with pytest.raises(ValueError, match=r"^expected predictions of shape \(2,\), got \(2, 1\)$"):
+            mean_recall(np.array([[0], [1]]), np.array([0, 1]))
+
     def test_model_selection_uses_the_same_definition(self):
         import curricula.metrics
         import curricula.model

@@ -77,20 +77,14 @@ def _int64_ids(values) -> np.ndarray:
     return ids
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    """``array``, made read-only in place: how a producer passes ``Dataset`` ownership."""
-    array.setflags(write=False)
-    return array
-
-
 @dataclass(frozen=True)
 class Dataset:
     """An immutable collection of feature vectors with fine labels.
 
     ``features`` is (n, d) float64, ``labels`` and ``ids`` are (n,) int64;
     ids are unique and non-negative. The arrays are read-only, so datasets can
-    be shared freely across threads, and are copies of the caller's, except
-    read-only ndarrays: the package's producers freeze what they hand over.
+    be shared freely across threads. The constructor copies what it is given;
+    ``_adopt`` keeps, checked and uncopied, a producer's fresh unshared arrays.
     """
 
     features: np.ndarray
@@ -98,10 +92,16 @@ class Dataset:
     ids: np.ndarray
 
     def __post_init__(self) -> None:
-        kept = [isinstance(a, np.ndarray) and not a.flags.writeable for a in (self.features, self.labels, self.ids)]
-        features = (np.asarray if kept[0] else np.array)(self.features, dtype=np.float64, order="C")
-        labels = np.asarray(self.labels)
-        ids = (np.asarray if kept[2] else np.array)(_int64_ids(self.ids))
+        self._own(np.array(self.features, dtype=np.float64, order="C"), np.array(self.labels), np.array(self.ids))
+
+    @classmethod
+    def _adopt(cls, features: np.ndarray, labels: np.ndarray, ids: np.ndarray) -> "Dataset":
+        dataset = object.__new__(cls)
+        dataset._own(features, labels, ids)
+        return dataset
+
+    def _own(self, features: np.ndarray, labels: np.ndarray, ids: np.ndarray) -> None:
+        ids = _int64_ids(ids)
         if features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {features.shape}")
         n = features.shape[0]
@@ -115,12 +115,12 @@ class Dataset:
             raise ValueError("features must be finite")
         # The raw labels, before the cast: as int64, 1.5 would pass as 1.
         class_onehot(labels)
-        labels = labels.astype(np.int64, copy=not kept[1])
+        labels = labels.astype(np.int64, copy=False)
         if _has_repeats(ids):
             raise ValueError("ids must be unique")
-        object.__setattr__(self, "features", _frozen(features))
-        object.__setattr__(self, "labels", _frozen(labels))
-        object.__setattr__(self, "ids", _frozen(ids))
+        for name, array in (("features", features), ("labels", labels), ("ids", ids)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -143,7 +143,7 @@ class Dataset:
             first_missing = int(np.argmin(found))
             raise ValueError(f"id {query[first_missing]} not present in dataset")
         rows = order[pos]
-        return Dataset(*(_frozen(a[rows]) for a in (self.features, self.labels, self.ids)))
+        return Dataset._adopt(*(a[rows] for a in (self.features, self.labels, self.ids)))
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,7 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
     for c, n_c in enumerate(config.counts):
         blocks.append(means[c] + config.noise * rng.standard_normal((n_c, config.feature_dim)))
     labels = np.repeat(np.arange(len(CLASSES)), config.counts)
-    return Dataset(_frozen(np.vstack(blocks)), _frozen(labels), _frozen(np.arange(len(labels))))
+    return Dataset._adopt(np.vstack(blocks), labels, np.arange(len(labels)))
 
 
 def load_csv(path: str | Path) -> Dataset:
@@ -264,11 +264,11 @@ def load_csv(path: str | Path) -> Dataset:
 
     if not ids:
         raise ParseError(f"{path}: no samples")
-    id_array = _frozen(np.frombuffer(ids, dtype=np.int64))
+    id_array = np.frombuffer(ids, dtype=np.int64)
     if _has_repeats(id_array):
         raise ParseError(f"{path}: duplicate sample ids")
-    features = _frozen(np.frombuffer(features, dtype=np.float64).reshape(len(ids), dim))
-    return Dataset(features, _frozen(np.frombuffer(labels, dtype=np.int64)), id_array)
+    features = np.frombuffer(features, dtype=np.float64).reshape(len(ids), dim)
+    return Dataset._adopt(features, np.frombuffer(labels, dtype=np.int64), id_array)
 
 
 def write_csv(dataset: Dataset, path: str | Path) -> None:
@@ -299,7 +299,8 @@ class FoldPartition:
 
     def __post_init__(self) -> None:
         for name in ("train_ids", "val_ids", "test_ids"):
-            object.__setattr__(self, name, _frozen(np.array(_int64_ids(getattr(self, name)))))
+            object.__setattr__(self, name, np.array(_int64_ids(getattr(self, name))))
+            getattr(self, name).setflags(write=False)
         if _has_repeats(np.concatenate([self.train_ids, self.val_ids, self.test_ids])):
             raise ValueError("train/val/test id sets must be pairwise disjoint")
         if len(self.train_ids) == 0 or len(self.test_ids) == 0:

@@ -225,7 +225,7 @@ def _mean_report(fold_reports: list[MetricsReport]) -> MetricsReport:
     values = {
         name: float(np.mean([getattr(r, name) for r in fold_reports])) for name in METRIC_NAMES
     }
-    return MetricsReport(n_samples=sum(r.n_samples for r in fold_reports), **values)
+    return MetricsReport(**values)
 
 
 def run_arm_on_fold(

@@ -26,15 +26,12 @@ class MetricsReport:
     average_auc: float
     binary_accuracy: float
     binary_auc: float
-    n_samples: int
 
     def __post_init__(self) -> None:
         for name in METRIC_NAMES:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be positive, got {self.n_samples}")
 
 
 def _check_inputs(probs, labels, every_class: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -143,5 +140,4 @@ def evaluate(probs, labels) -> MetricsReport:
         average_auc=average_auc(probs, labels),
         binary_accuracy=binary_acc,
         binary_auc=binary_auc_value,
-        n_samples=len(labels),
     )

@@ -572,9 +572,6 @@ class TestResolvedSeeds:
             for split in ("train", "val", "test")
         }
         assert exported == expected
-        report = run_experiment(config)
-        for arm in config.arms:
-            assert [r.n_samples for r in report.per_fold[arm.name]] == [len(p.test_ids) for p in partitions]
 
     def test_a_new_master_seed_changes_every_derived_seed(self, small_config, tmp_path):
         config = parse_config(small_config)
@@ -736,7 +733,7 @@ class TestRenderReport:
         from curricula.harness import ExperimentReport
         from curricula.metrics import MetricsReport
 
-        rep = MetricsReport(0.5, 0.5, 0.5, 0.5, 0.5, 10)
+        rep = MetricsReport(0.5, 0.5, 0.5, 0.5, 0.5)
         report = ExperimentReport(
             per_fold={"a": [rep], "b": [rep]},
             means={"a": rep, "b": rep},

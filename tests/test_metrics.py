@@ -247,7 +247,6 @@ def test_all_metrics_in_unit_interval():
         report = evaluate(random_probs(rng, n), labels)
         for name in METRIC_NAMES:
             assert 0.0 <= getattr(report, name) <= 1.0
-        assert report.n_samples == n
 
 
 @pytest.mark.parametrize("metric", [accuracy, balanced_accuracy, average_auc, binary_task_metrics, evaluate])
@@ -261,6 +260,4 @@ def test_labels_outside_the_classes_rejected_before_any_cast(metric, bad):
 
 def test_report_validation():
     with pytest.raises(ValueError):
-        MetricsReport(1.2, 0.5, 0.5, 0.5, 0.5, 10)
-    with pytest.raises(ValueError):
-        MetricsReport(0.5, 0.5, 0.5, 0.5, 0.5, 0)
+        MetricsReport(1.2, 0.5, 0.5, 0.5, 0.5)

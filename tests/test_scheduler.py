@@ -1,4 +1,6 @@
+import csv
 import math
+from pathlib import Path
 
 import pytest
 
@@ -138,3 +140,25 @@ def test_epoch_out_of_range_rejected():
 def test_invalid_specs_rejected(kwargs):
     with pytest.raises(ValueError):
         SchedulerSpec(**kwargs)
+
+
+def test_every_kind_matches_its_golden_weights_bit_for_bit():
+    """``tests/golden/schedules.csv`` holds ``schedule(spec, epochs)`` for every
+    kind at (epochs 10, L 6) and (epochs 100, L 50), each weight as ``float.hex``.
+
+    The comparison is exact: a rewrite that moves one weight by one ulp (say
+    ``math.log1p(L - e)`` for ``logarithm``) fails here, though it passes every
+    tolerance above. The weights depend on the host's libm: ``math.cos``,
+    ``math.log`` and ``**`` (``pow``) call the C library, which IEEE 754 does
+    not require to round correctly. If the file differs on another libm,
+    report that; the comparison stays exact.
+    """
+    golden: dict[tuple[str, int], list[str]] = {}
+    with open(Path(__file__).parent / "golden" / "schedules.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            weights = golden.setdefault((row["kind"], int(row["L"])), [])
+            assert int(row["epoch"]) == len(weights)
+            weights.append(row["lambda"])
+    assert sorted(golden) == sorted((kind, L) for kind in KINDS for L in (6, 50))
+    for (kind, L), weights in golden.items():
+        assert [w.hex() for w in schedule(spec(kind, L=L), len(weights))] == weights, (kind, L)

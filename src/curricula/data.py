@@ -137,7 +137,8 @@ class Dataset:
         query = _int64_ids(np.ravel(ids))
         order = np.argsort(self.ids)
         sorted_ids = self.ids[order]
-        pos = np.minimum(np.searchsorted(sorted_ids, query), len(sorted_ids) - 1)
+        pos = np.searchsorted(sorted_ids, query)
+        np.minimum(pos, len(sorted_ids) - 1, out=pos)
         found = sorted_ids[pos] == query
         if not found.all():
             first_missing = int(np.argmin(found))
@@ -194,12 +195,14 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
     if config.seed is None:
         raise ValueError("SynthConfig.seed must be set before generating data")
     rng = np.random.default_rng(config.seed)
-    means = class_means(config)
-    blocks = []
-    for c, n_c in enumerate(config.counts):
-        blocks.append(means[c] + config.noise * rng.standard_normal((n_c, config.feature_dim)))
+    # Each class block is drawn and shifted in place: the bits of means[c] + noise * z.
+    features = np.empty((sum(config.counts), config.feature_dim))
+    for block, mean in zip(np.split(features, np.cumsum(config.counts)[:-1]), class_means(config)):
+        rng.standard_normal(out=block)
+        block *= config.noise
+        block += mean
     labels = np.repeat(np.arange(len(CLASSES)), config.counts)
-    return Dataset._adopt(np.vstack(blocks), labels, np.arange(len(labels)))
+    return Dataset._adopt(features, labels, np.arange(len(labels)))
 
 
 def load_csv(path: str | Path) -> Dataset:

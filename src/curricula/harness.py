@@ -237,14 +237,14 @@ def run_arm_on_fold(
     shuffle_seed: int,
 ) -> MetricsReport:
     """Train one arm on one partition and evaluate it on the test fold."""
-    train_set = dataset.subset(partition.train_ids)
-    val_set = dataset.subset(partition.val_ids)
-    test_set = dataset.subset(partition.test_ids)
     layer_sizes = (dataset.feature_dim, *train_config.hidden_sizes, len(CLASSES))
     params = model_mod.init(layer_sizes, init_seed)
     rng = np.random.default_rng(shuffle_seed)
     lambdas = [lambda_at(arm.spec, e) for e in range(train_config.epochs)]
+    train_set, val_set = dataset.subset(partition.train_ids), dataset.subset(partition.val_ids)
     result = model_mod.train(params, train_set, val_set, lambdas, train_config, rng)
+    del train_set, val_set  # freed before the test fold is sliced
+    test_set = dataset.subset(partition.test_ids)
     probs = model_mod.predict_proba_batch(result.params, test_set.features)
     return metrics_mod.evaluate(probs, test_set.labels)
 

@@ -81,9 +81,10 @@ def combined_loss(p, y: int, lam: float) -> float:
 def softmax(scores: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilised by subtracting the row maximum."""
     scores = np.asarray(scores, dtype=np.float64)
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = scores - scores.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def combined_loss_grad(scores, y: int, lam: float) -> np.ndarray:

@@ -169,13 +169,12 @@ def train_epoch(
     """
     n = len(train_set)
     order = rng.permutation(n)
-    # One gather, and one label check, per epoch; each batch is then a
-    # contiguous slice of them.
-    features = train_set.features[order]
+    # One label check and one one-hot per epoch, sliced per batch; the features
+    # are gathered a batch at a time, so no shuffled copy of the train set lives.
     onehot = class_onehot(train_set.labels[order])
     total_loss = 0.0
     for start in range(0, n, config.batch_size):
-        x = features[start : start + config.batch_size]
+        x = train_set.features.take(order[start : start + config.batch_size], axis=0)
         scores, activations = _forward(params, x, workspace)
         losses, grads = batch_combined_loss_grad(scores, onehot[start : start + config.batch_size], lam)
         total_loss += float(np.add.reduce(losses))

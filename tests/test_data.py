@@ -144,11 +144,12 @@ class TestDataset:
         with pytest.raises(ValueError, match="^labels must be 0, 1, or 2$"):
             Dataset(arrays[0], half, arrays[2])
 
-    @pytest.mark.parametrize("producer, bound", [("generate_synthetic", 3.0), ("subset", 2.8), ("load_csv", 2.3)])
+    @pytest.mark.parametrize("producer, bound", [("generate_synthetic", 1.9), ("subset", 2.8), ("load_csv", 2.3)])
     def test_producers_hand_over_their_arrays_uncopied(self, producer, bound, tmp_path):
         # Traced peaks over the features' bytes, without a copy and with one:
-        # generate_synthetic 2.39 and 3.64 (50k x 8), subset 2.16 and 3.41
-        # (25k of those rows), load_csv 1.83 and 2.73 (20k x 8).
+        # subset 2.16 and 3.41 (25k of 50k x 8 rows), load_csv 1.83 and 2.73
+        # (20k x 8). generate_synthetic (50k x 8) fills one array in place:
+        # 1.39, against 2.39 when it stacks per-class blocks and 3.64 with a copy.
         n = 20_000 if producer == "load_csv" else 50_000
         ds = synth(counts=(n // 3, n // 3, n - 2 * (n // 3)), feature_dim=8)
         query = np.random.default_rng(0).permutation(ds.ids)[: n // 2]

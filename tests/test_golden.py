@@ -1,11 +1,14 @@
-"""Golden run: a small checked-in experiment whose per_fold.csv, means.csv and
-report.txt must not move.
+"""Golden runs: two small checked-in experiments whose per_fold.csv, means.csv
+and report.txt must not move. ``golden/config.yaml`` runs three arms with one
+hidden layer; ``golden/all_kinds/config.yaml`` runs all eight scheduler kinds at
+switch epochs 3, 4 and 6, so some epochs put arms at λ = 0 beside blended ones,
+with two hidden layers, so the backward pass goes through a middle layer.
 
 The expected files were produced by this package on CPython 3.11, numpy 2.x
 with OpenBLAS. A refactor must reproduce them byte for byte. An intended
 numeric change regenerates them, and the reason is recorded with the change.
 If they differ on another CPU or BLAS build, report that; the comparison
-stays exact. Two tests re-run the golden config with numpy's SIMD dispatch
+stays exact. Two tests re-run both golden configs with numpy's SIMD dispatch
 held to its baseline and with OpenBLAS's Haswell kernels, the settings in
 which an x86-64 machine stands in for an older one.
 """
@@ -31,14 +34,18 @@ from curricula.harness import Arm, parse_config, render_report, run_experiment
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_FILES = ("per_fold.csv", "means.csv", "report.txt")
+# Each directory holds a config.yaml and the GOLDEN_FILES it produced.
+GOLDEN_DIRS = (GOLDEN, GOLDEN / "all_kinds")
 
 
 def test_golden_per_fold_csv_is_byte_identical(tmp_path):
-    # 3 arms x 3 folds x 10 epochs on 150 synthetic samples; means.csv and report.txt too
-    config = parse_config(GOLDEN / "config.yaml")
-    render_report(run_experiment(config), tmp_path)
-    for name in GOLDEN_FILES:
-        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    # 3 arms x 3 folds x 10 epochs on 150 samples, and 8 arms x 3 folds x 8
+    # epochs on 108; means.csv and report.txt too
+    for golden in GOLDEN_DIRS:
+        out = tmp_path / golden.name
+        render_report(run_experiment(parse_config(golden / "config.yaml")), out)
+        for name in GOLDEN_FILES:
+            assert (out / name).read_bytes() == (golden / name).read_bytes(), (golden.name, name)
 
 
 def test_golden_run_needs_no_scipy(tmp_path):
@@ -97,14 +104,16 @@ def test_golden_run_holds_on_an_older_cpu_and_blas_core(tmp_path, variable):
         "import numpy as np\n"
         f"{SETTING_CHECKS[variable]}"
         "from curricula import cli\n"
-        f"raise SystemExit(cli.main(['run', '--config', {str(GOLDEN / 'config.yaml')!r}, '--out', {str(tmp_path)!r}]))\n"
+        f"for config, out in {[(str(g / 'config.yaml'), str(tmp_path / g.name)) for g in GOLDEN_DIRS]!r}:\n"
+        "    assert cli.main(['run', '--config', config, '--out', out]) == 0, config\n"
     )
     src = str(Path(curricula.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     env[variable] = value
     subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120, stdout=subprocess.DEVNULL)
-    for name in GOLDEN_FILES:
-        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    for golden in GOLDEN_DIRS:
+        for name in GOLDEN_FILES:
+            assert (tmp_path / golden.name / name).read_bytes() == (golden / name).read_bytes(), (golden.name, name)
 
 
 def test_golden_run_from_its_generated_csv(tmp_path, monkeypatch):

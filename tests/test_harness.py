@@ -4,6 +4,7 @@ import math
 import os
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curricula import cli, harness
-from curricula.data import SynthConfig, stratified_kfold
+from curricula.data import SynthConfig, generate_synthetic, stratified_kfold
 from curricula.harness import (
     Arm,
     ConfigError,
@@ -674,6 +675,24 @@ class TestRunExperiment:
                     run_experiment(config)
             assert str(excinfo.value) == "fold 0, arm 'constant_zero': epoch 5: scores must be finite", action
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], action
+
+    def test_one_fold_holds_no_test_subset_or_epoch_gather_while_training(self):
+        # cli-100k's shapes at a fifth of its rows: 20k x 8, hidden [16], batch 256, 2 epochs.
+        dataset = generate_synthetic(SynthConfig(counts=(4000, 8000, 8000), feature_dim=8, seed=1))
+        partition = stratified_kfold(dataset, 5, 0.2, 0)[0]
+        train_config = TrainConfig(epochs=2, batch_size=256, hidden_sizes=(16,))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            harness.run_arm_on_fold(Arm("linear", SchedulerSpec("linear", 1)), dataset, partition, train_config, 1, 2)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # Traced peaks over the dataset's feature bytes (1.28 MB), with numpy 2.4: 1.55
+        # at validation, where the train and validation subsets (1.02 and 0.26 MB)
+        # live beside the validation forward pass. The test subset (0.32 MB) live
+        # through training reads 1.81, and an epoch-sized feature gather 2.06.
+        assert peak < 1.7 * dataset.features.nbytes, (peak, dataset.features.nbytes)
 
 
 class TestRenderReport:

@@ -325,10 +325,10 @@ def stratified_kfold(
     one sample of exact proportionality. Raises ``ValueError`` if a class
     would get no training sample, or a partition no validation sample.
     """
-    if k < 2:
-        raise ValueError(f"fold count must be at least 2, got {k}")
-    if not (0.0 < val_fraction < 1.0):
+    whole(k, "fold count", 2)
+    if not (0.0 < real(val_fraction, "val_fraction") < 1.0):
         raise ValueError(f"val_fraction must lie in (0, 1), got {val_fraction}")
+    whole(seed, "seed", 0)
     counts = dataset.class_counts()
     for c in CLASSES:
         if counts[c] < k:

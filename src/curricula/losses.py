@@ -79,12 +79,22 @@ def combined_loss(p, y: int, lam: float) -> float:
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, stabilised by subtracting the row maximum."""
+    """Softmax over the last axis of a (3,) or (n, 3) array, stabilised by the
+    maximum. Written for three columns without reduction calls, so the sum is
+    ``(e0 + e1) + e2``; any other shape raises ``ValueError``."""
     scores = np.asarray(scores, dtype=np.float64)
-    e = scores - scores.max(axis=-1, keepdims=True)
+    if scores.ndim not in (1, 2) or scores.shape[-1] != 3:
+        raise ValueError(f"expected scores of shape (3,) or (n, 3), got shape {scores.shape}")
+    e = scores - np.maximum(np.maximum(scores[..., 0], scores[..., 1]), scores[..., 2])[..., None]
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    total = e[..., 0] + e[..., 1]
+    total += e[..., 2]
+    e /= total[..., None]
     return e
+
+
+#: onehot(0) as a row: ``_CLASS_0 - p`` is ``onehot(0) - p`` for every row.
+_CLASS_0 = np.array([1.0, 0.0, 0.0])
 
 
 def combined_loss_grad(scores, y: int, lam: float) -> np.ndarray:
@@ -108,19 +118,14 @@ def combined_loss_grad(scores, y: int, lam: float) -> np.ndarray:
     onehot_y[y] = 1.0
     grad_hard = p - onehot_y
 
-    onehot_0 = np.array([1.0, 0.0, 0.0])
     if coarsen(y) == 0:
-        grad_easy = p - onehot_0
+        grad_easy = p - _CLASS_0
     else:
         # Clamp the denominator like the loss does; at the floor the loss is
         # flat but we keep the unclamped direction.
-        grad_easy = p[0] / max(1.0 - p[0], PROB_FLOOR) * (onehot_0 - p)
+        grad_easy = p[0] / max(1.0 - p[0], PROB_FLOOR) * (_CLASS_0 - p)
 
     return lam * grad_easy + (1.0 - lam) * grad_hard
-
-
-#: onehot(0) as a row: ``_CLASS_0 - p`` is ``onehot(0) - p`` for every row.
-_CLASS_0 = np.array([1.0, 0.0, 0.0])
 
 
 def batch_combined_loss_grad(scores: np.ndarray, onehot: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -146,15 +151,8 @@ def batch_combined_loss_grad(scores: np.ndarray, onehot: np.ndarray, lam: float)
     if not np.logical_and.reduce(np.isfinite(scores), axis=None):
         raise ValueError("scores must be finite")
 
-    # softmax() written out for three columns, without its reduction calls:
-    # (e0 + e1) + e2 is the order numpy sums a 3-wide row in, so p is bit-equal.
-    row_max = np.maximum(np.maximum(scores[:, 0], scores[:, 1]), scores[:, 2])
-    p = scores - row_max[:, None]
-    np.exp(p, out=p)
+    p = softmax(scores)
     p0 = p[:, 0]
-    total = p0 + p[:, 1]
-    total += p[:, 2]
-    p /= total[:, None]
     # The hard terms: -log p[y] clamped, and p - onehot (bool casts to 1.0 and 0.0).
     hard = p[onehot]
     if len(hard) != n:

@@ -91,5 +91,6 @@ def lambda_at(spec: SchedulerSpec, epoch: int) -> float:
 
 
 def schedule(spec: SchedulerSpec, epochs: int) -> list[float]:
-    """The per-epoch weights ``[lambda(0), ..., lambda(epochs - 1)]``."""
+    """The per-epoch weights ``[lambda(0), ..., lambda(epochs - 1)]`` for an int ``epochs >= 0``."""
+    whole(epochs, "epochs", 0)
     return [lambda_at(spec, e) for e in range(epochs)]

@@ -12,11 +12,21 @@ import pytest
 
 from curricula import cli
 from curricula.data import SynthConfig, generate_synthetic, stratified_kfold
-from curricula.harness import Arm, child_seed, parse_config, render_report, run_experiment
+from curricula.harness import (
+    Arm,
+    build_dataset,
+    child_seed,
+    parse_config,
+    render_report,
+    resolved_seeds,
+    run_experiment,
+)
 from curricula.losses import coarsen, combined_loss, combined_loss_grad, easy_loss, hard_loss, softmax
 from curricula.metrics import accuracy, auc_binary, average_auc, evaluate
 from curricula.model import TrainConfig, init, predict_proba_batch, train
 from curricula.scheduler import CURRICULUM_KINDS, SchedulerSpec, lambda_at
+from test_golden import GOLDEN_DIRS
+from test_scheduler import REFERENCE_FORMS
 
 TABLE_COUNTS = (349, 653, 707)
 
@@ -251,13 +261,20 @@ arms:
 """
 
 
-def _plain_cross_entropy_run(dataset, partition, config, init_seed, shuffle_seed):
-    """An independently scripted hard-task training run.
+def _plain_softmax(scores):
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _scripted_run(dataset, partition, config, init_seed, shuffle_seed, score_grad):
+    """An independently scripted training run.
 
     Shares the init/shuffle seeds and the evaluation protocol with the
     harness (that sharing is the point of the comparison) but writes out
-    plain three-class softmax cross-entropy SGD with no blended-loss
-    machinery.
+    the forward pass, backpropagation, SGD and best-epoch selection.
+    ``score_grad(scores, labels, epoch)`` gives each sample's gradient of
+    its loss w.r.t. its scores.
     """
     train_set = dataset.subset(partition.train_ids)
     val_set = dataset.subset(partition.val_ids)
@@ -279,34 +296,23 @@ def _plain_cross_entropy_run(dataset, partition, config, init_seed, shuffle_seed
         scores = h @ weights[-1].T + biases[-1]
         return scores, pre_acts, activations
 
-    def proba(x):
-        scores, _, _ = forward(x)
-        shifted = scores - scores.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=-1, keepdims=True)
-
     def recall_score(features, labels):
-        pred = np.argmax(proba(features), axis=1)
+        pred = np.argmax(_plain_softmax(forward(features)[0]), axis=1)
         recalls = [np.mean(pred[labels == c] == c) for c in np.unique(labels)]
         return float(np.mean(recalls))
 
     best = None
     best_score = -np.inf
     n = len(train_set)
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
             x = train_set.features[batch]
             y = train_set.labels[batch]
             scores, pre_acts, activations = forward(x)
-            shifted = scores - scores.max(axis=-1, keepdims=True)
-            e = np.exp(shifted)
-            p = e / e.sum(axis=-1, keepdims=True)
-            onehot = np.zeros_like(p)
-            onehot[np.arange(len(y)), y] = 1.0
-            # plain cross-entropy gradient, mean over the batch
-            delta = (p - onehot) / len(batch)
+            # the mean over the batch
+            delta = score_grad(scores, y, epoch) / len(batch)
             for l in range(len(weights) - 1, -1, -1):
                 dw = delta.T @ activations[l]
                 db = delta.sum(axis=0)
@@ -319,15 +325,37 @@ def _plain_cross_entropy_run(dataset, partition, config, init_seed, shuffle_seed
             best_score = score
             best = [w.copy() for w in weights], [b.copy() for b in biases]
 
-    weights, biases = best
-    h = test_set.features
-    for w, b in zip(weights[:-1], biases[:-1]):
-        h = np.maximum(h @ w.T + b, 0.0)
-    scores = h @ weights[-1].T + biases[-1]
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=-1, keepdims=True)
-    return evaluate(probs, test_set.labels)
+    weights, biases = best  # forward reads these names, so it now runs the selected epoch
+    return evaluate(_plain_softmax(forward(test_set.features)[0]), test_set.labels)
+
+
+def _plain_cross_entropy_run(dataset, partition, config, init_seed, shuffle_seed):
+    """Plain three-class softmax cross-entropy SGD, with no blended-loss machinery."""
+
+    def score_grad(scores, labels, epoch):
+        p = _plain_softmax(scores)
+        onehot = np.zeros_like(p)
+        onehot[np.arange(len(labels)), labels] = 1.0
+        return p - onehot
+
+    return _scripted_run(dataset, partition, config, init_seed, shuffle_seed, score_grad)
+
+
+def _blended_reference_run(dataset, partition, config, init_seed, shuffle_seed, spec):
+    """A curriculum arm through the scalar references: each sample's gradient is
+    ``combined_loss_grad`` at the epoch's λ, and λ comes from the closed forms
+    of ``test_scheduler.REFERENCE_FORMS`` (0 from the switch epoch on, and at
+    every epoch of the ``constant_zero`` baseline)."""
+    form = REFERENCE_FORMS.get(spec.kind, lambda e, L, eps: 0.0)
+
+    def score_grad(scores, labels, epoch):
+        lam = form(epoch, spec.switch_epoch, spec.exp_floor) if epoch < spec.switch_epoch else 0.0
+        return np.array([combined_loss_grad(row, int(y), lam) for row, y in zip(scores, labels)])
+
+    return _scripted_run(dataset, partition, config, init_seed, shuffle_seed, score_grad)
+
+
+METRICS = ("accuracy", "balanced_accuracy", "average_auc", "binary_accuracy", "binary_auc")
 
 
 def test_criterion_7_desk_scale_experiment(tmp_path):
@@ -345,13 +373,7 @@ def test_criterion_7_desk_scale_experiment(tmp_path):
         table = render_report(report, tmp_path / "out")
         lines = table.splitlines()
         assert len(lines) == 9  # header plus one row per arm
-        assert lines[0].split()[1:] == [
-            "accuracy",
-            "balanced_accuracy",
-            "average_auc",
-            "binary_accuracy",
-            "binary_auc",
-        ]
+        assert lines[0].split()[1:] == list(METRICS)
 
         for name in report.per_fold:
             assert report.means[name].binary_auc > 0.55, name
@@ -379,14 +401,27 @@ def test_criterion_7_desk_scale_experiment(tmp_path):
                 child_seed(config.seed, "shuffle", part.fold_index),
             )
             ours = report.per_fold["constant_zero"][part.fold_index]
-            for metric in (
-                "accuracy",
-                "balanced_accuracy",
-                "average_auc",
-                "binary_accuracy",
-                "binary_auc",
-            ):
+            for metric in METRICS:
                 assert abs(getattr(ours, metric) - getattr(independent, metric)) <= 1e-12
+
+
+@pytest.mark.parametrize("golden", GOLDEN_DIRS, ids=lambda path: path.name)
+def test_every_golden_arm_equals_a_blended_reference_run(golden):
+    # An end-to-end oracle for the curriculum arms that does not run through
+    # the batch loss kernel or the package's scheduler.
+    config = parse_config(golden / "config.yaml")
+    report = run_experiment(config)
+    dataset = build_dataset(config)
+    seeds = resolved_seeds(config)
+    for part in stratified_kfold(dataset, config.k, config.val_fraction, seeds["folds"]):
+        i = part.fold_index
+        for arm in config.arms:
+            reference = _blended_reference_run(
+                dataset, part, config.train, seeds["init"][i], seeds["shuffle"][i], arm.spec
+            )
+            ours = report.per_fold[arm.name][i]
+            for metric in METRICS:
+                assert abs(getattr(ours, metric) - getattr(reference, metric)) <= 1e-12, (arm.name, i, metric)
 
 
 def test_criterion_8_smoke_learnability():

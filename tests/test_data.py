@@ -522,6 +522,22 @@ class TestStratifiedKFold:
         with pytest.raises(ValueError):
             stratified_kfold(ds, k=5, val_fraction=1.0, seed=0)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(k=2.0), "fold count must be an integer, got 2.0"),
+            (dict(k=True), "fold count must be an integer, got True"),
+            (dict(val_fraction="0.5"), "val_fraction must be a number, got '0.5'"),
+            (dict(val_fraction=float("nan")), "val_fraction must be finite, got nan"),
+            (dict(seed=1.5), "seed must be an integer, got 1.5"),
+            (dict(seed=-1), "seed must be at least 0, got -1"),
+        ],
+    )
+    def test_scalar_arguments_of_the_wrong_kind_are_named(self, kwargs, message):
+        ds = synth(counts=(10, 10, 10), seed=6)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            stratified_kfold(ds, **{"k": 3, **kwargs})
+
     def test_partition_rejects_shared_and_repeated_ids(self):
         with pytest.raises(ValueError, match="pairwise disjoint"):
             FoldPartition(0, train_ids=np.array([1, 2, 3]), val_ids=np.array([4]), test_ids=np.array([3, 5]))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import curricula
 
-LINE_BUDGET = 1590
+LINE_BUDGET = 1589
 
 
 def test_package_source_is_within_its_line_budget():

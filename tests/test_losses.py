@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -208,3 +209,10 @@ def test_batch_rejects_a_one_hot_row_that_marks_no_class(lam):
     onehot[2] = False
     with pytest.raises(ValueError, match=r"^the one-hot must mark 4 classes, got 3$"):
         batch_combined_loss_grad(np.zeros((4, 3)), onehot, lam)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (2,), (4,), (5, 1), (5, 2), (5, 4), (2, 2, 3)])
+def test_softmax_rejects_any_shape_but_three_columns(shape):
+    with pytest.raises(ValueError, match=rf"^expected scores of shape \(3,\) or \(n, 3\), got shape {re.escape(str(shape))}$"):
+        softmax(np.zeros(shape))
+

@@ -1,12 +1,12 @@
 """Property tests: the vectorised hot-path code against scalar references.
 
 ``batch_combined_loss_grad`` must be bit-equal, sample by sample, to the
-scalar ``combined_loss``/``combined_loss_grad``, and ``Dataset.subset``
-must slice exactly what a plain id->row dict lookup would. The CSV
-writers must write the same bytes as ``csv.writer`` row by row, ``load_csv``
-must load what a row-by-row ``csv.reader`` loader loads, or fail with its
-message, and ``stratified_kfold`` must keep its fold contract for any class counts.
-An SGD epoch that fills a reused workspace must be bit-equal to one that
+scalar ``combined_loss``/``combined_loss_grad``, ``softmax`` to numpy's
+generic reductions, and ``Dataset.subset`` must slice exactly what a plain
+id->row dict lookup would. The CSV writers must write the same bytes as
+``csv.writer`` row by row, ``load_csv`` must load what a row-by-row
+``csv.reader`` loader loads, or fail with its message, and
+``stratified_kfold`` must keep its fold contract for any class counts. An SGD epoch that fills a reused workspace must be bit-equal to one that
 allocates fresh arrays at every step, and ``mean_recall`` to a per-class loop.
 A run on a CSV must not depend on the order of its rows.
 """
@@ -108,6 +108,42 @@ def test_bit_equal_where_probabilities_hit_the_floor(lam):
         p = softmax(scores)
         assert (p < PROB_FLOOR).any()
         assert_bit_equal_to_scalar(scores, labels, lam)
+
+
+def generic_softmax(scores):
+    """``softmax`` as it was before it was written out for three columns: numpy's
+    max and sum reductions over the last axis. Frozen here as its reference."""
+    scores = np.asarray(scores, dtype=np.float64)
+    e = scores - scores.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+# Ties and -0.0 from the sampled values; spreads up to 1400 underflow to exact
+# zeros, and scores within a few units of each other leave all three terms
+# in the sum, where its order shows in the last bit.
+SOFTMAX_SCORE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -700.0, 700.0, np.inf, -np.inf, np.nan]),
+    st.floats(min_value=-700.0, max_value=700.0),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.sampled_from([(3,), (1, 3), (2, 3), (40, 3)]), elements=SOFTMAX_SCORE))
+def test_softmax_is_bit_equal_to_the_generic_reductions(scores):
+    """The three-column ``softmax`` against ``generic_softmax``, NaNs by position.
+
+    Depends on one host fact: numpy sums a 3-wide row as ``(e0 + e1) + e2``,
+    the order ``generic_softmax``'s ``sum`` takes and ``softmax`` writes out.
+    """
+    with np.errstate(invalid="ignore"):
+        got, want = softmax(scores), generic_softmax(scores)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 @settings(deadline=None)

@@ -111,6 +111,16 @@ def test_schedule_covers_training_epochs():
     assert values == [lambda_at(s, e) for e in range(8)]
 
 
+def test_schedule_rejects_an_epoch_count_that_is_not_a_whole_number():
+    s = spec("linear", L=4)
+    assert schedule(s, 0) == []
+    with pytest.raises(ValueError, match=r"^epochs must be at least 0, got -1$"):
+        schedule(s, -1)
+    for bad in (True, 2.0, "3"):
+        with pytest.raises(ValueError, match=r"^epochs must be an integer, got "):
+            schedule(s, bad)
+
+
 def test_default_switch_epoch_is_half_the_budget():
     assert default_switch_epoch(100) == 50
     assert default_switch_epoch(101) == 50

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -215,17 +216,16 @@ def build_dataset(config: ExperimentConfig) -> Dataset:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Per-fold and mean metrics for every arm, in the arm order of ``per_fold``."""
+    """Per-fold metrics for every arm, in the arm order of ``per_fold``; ``means`` derives from them."""
 
     per_fold: dict[str, list[MetricsReport]]
-    means: dict[str, MetricsReport]
 
-
-def _mean_report(fold_reports: list[MetricsReport]) -> MetricsReport:
-    values = {
-        name: float(np.mean([getattr(r, name) for r in fold_reports])) for name in METRIC_NAMES
-    }
-    return MetricsReport(**values)
+    @cached_property
+    def means(self) -> dict[str, MetricsReport]:  # each arm's fold mean of every metric
+        return {
+            name: MetricsReport(**{m: float(np.mean([getattr(r, m) for r in reports])) for m in METRIC_NAMES})
+            for name, reports in self.per_fold.items()
+        }
 
 
 def run_arm_on_fold(
@@ -270,8 +270,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 raise ExperimentError(f"fold {i}, arm {arm.name!r}: {e}") from e
             per_fold[arm.name].append(report)
 
-    means = {name: _mean_report(reports) for name, reports in per_fold.items()}
-    return ExperimentReport(per_fold=per_fold, means=means)
+    return ExperimentReport(per_fold)
 
 
 PER_FOLD_HEADER = "arm,fold," + ",".join(METRIC_NAMES)

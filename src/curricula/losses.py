@@ -18,20 +18,22 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._checks import real
 from .data import CLASSES
 
 #: Probabilities are clamped to this floor (and 1 minus it) inside log terms.
 PROB_FLOOR = 1e-12
 
 
-def _check_fine_label(y: int) -> int:
-    if isinstance(y, bool) or int(y) != y or int(y) not in CLASSES:
-        raise ValueError(f"fine label must be 0, 1, or 2, got {y!r}")
+def _label(y, rule: str = "fine label must be 0, 1, or 2", classes: tuple = CLASSES) -> int:
+    """``int(y)``, if ``y`` is an int, float or numpy number (not a bool) equal to one of ``classes``."""
+    if type(y) is bool or not isinstance(y, (int, float, np.integer, np.floating)) or y not in classes:
+        raise ValueError(f"{rule}, got {y!r}")
     return int(y)
 
 
 def _check_weight(lam: float) -> float:
-    lam = float(lam)
+    lam = real(lam, "curriculum weight")
     if not (0.0 <= lam <= 1.0):
         raise ValueError(f"curriculum weight must lie in [0, 1], got {lam}")
     return lam
@@ -39,7 +41,7 @@ def _check_weight(lam: float) -> float:
 
 def coarsen(y: int) -> int:
     """Coarse binary label: 0 for fine class 0, 1 for fine classes 1 and 2."""
-    return 0 if _check_fine_label(y) == 0 else 1
+    return 0 if _label(y) == 0 else 1
 
 
 def _clamp(p: float) -> float:
@@ -56,20 +58,25 @@ def _neg_log(p: float) -> float:
     return -float(np.log(_clamp(p)))
 
 
+def _probabilities(p) -> np.ndarray:
+    """``p`` as an array, if it holds three real numbers in [0, 1] (NaN is not one)."""
+    a = np.asarray(p)
+    if a.shape != (3,) or a.dtype.kind not in "iuf" or not ((a >= 0) & (a <= 1)).all():
+        raise ValueError(f"p must be three probabilities in [0, 1], got {p!r}")
+    return a
+
+
 def hard_loss(p, y: int) -> float:
     """Three-class cross entropy: ``-log p[y]``."""
-    y = _check_fine_label(y)
-    return _neg_log(float(p[y]))
+    y = _label(y)
+    return _neg_log(float(_probabilities(p)[y]))
 
 
 def easy_loss(p, z: int) -> float:
     """Binary cross entropy on the coarse task, driven by ``p[0]`` only."""
-    if isinstance(z, bool) or int(z) != z or int(z) not in (0, 1):
-        raise ValueError(f"coarse label must be 0 or 1, got {z!r}")
-    p0 = float(p[0])
-    if int(z) == 0:
-        return _neg_log(p0)
-    return _neg_log(1.0 - p0)
+    z = _label(z, "coarse label must be 0 or 1", (0, 1))
+    p0 = float(_probabilities(p)[0])
+    return _neg_log(p0 if z == 0 else 1.0 - p0)
 
 
 def combined_loss(p, y: int, lam: float) -> float:
@@ -110,7 +117,7 @@ def combined_loss_grad(scores, y: int, lam: float) -> np.ndarray:
         raise ValueError(f"expected 3 scores, got shape {scores.shape}")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    y = _check_fine_label(y)
+    y = _label(y)
     lam = _check_weight(lam)
 
     p = softmax(scores)

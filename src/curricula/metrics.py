@@ -9,14 +9,11 @@ random positive outranks a random negative, ties counted as one half.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .data import CLASSES, class_onehot
-
-#: Column order used in reports and CSV files.
-METRIC_NAMES = ("accuracy", "balanced_accuracy", "average_auc", "binary_accuracy", "binary_auc")
 
 
 @dataclass(frozen=True)
@@ -32,6 +29,10 @@ class MetricsReport:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
+
+
+#: Column order used in reports and CSV files: the report's fields, in order.
+METRIC_NAMES = tuple(f.name for f in fields(MetricsReport))
 
 
 def _check_inputs(probs, labels, every_class: bool = False) -> tuple[np.ndarray, np.ndarray]:

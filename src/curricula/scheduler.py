@@ -83,8 +83,7 @@ def lambda_at(spec: SchedulerSpec, epoch: int) -> float:
     The weight is held fixed for all batches within an epoch. Raises
     ``ValueError`` unless ``epoch`` is a non-negative integer.
     """
-    if not isinstance(epoch, int) or isinstance(epoch, bool) or epoch < 0:
-        raise ValueError(f"epoch must be a non-negative integer, got {epoch!r}")
+    whole(epoch, "epoch", 0)
     if epoch >= spec.switch_epoch:
         return 0.0
     return _FORMS[spec.kind](epoch, spec.switch_epoch, spec.exp_floor)

@@ -88,6 +88,22 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.ones((0, 2)), np.array([]), np.array([]))
 
+    @pytest.mark.parametrize(
+        "features, labels, ids, message",
+        [
+            (np.ones(3), [0, 1, 2], [0, 1, 2], "features must be 2-D, got shape (3,)"),
+            (np.ones((2, 2, 1)), [0, 1], [0, 1], "features must be 2-D, got shape (2, 2, 1)"),
+            (np.ones((2, 0)), [0, 1], [0, 1], "feature dimension must be at least 1"),
+            (np.ones((2, 2)), [0, 1, 2], [0, 1], "features, labels, and ids must have matching lengths"),
+            (np.ones((2, 2)), [0, 1], [0], "features, labels, and ids must have matching lengths"),
+            (np.ones((2, 2)), [[0, 1]], [0, 1], "features, labels, and ids must have matching lengths"),
+        ],
+    )
+    def test_shape_rules_fail_with_exact_message(self, features, labels, ids, message):
+        with pytest.raises(ValueError) as excinfo:
+            Dataset(features, np.array(labels), np.array(ids))
+        assert str(excinfo.value) == message
+
     def test_class_onehot_checks_labels_of_every_dtype(self):
         # One comparison covers every dtype; bools pass as 0 and 1.
         for labels in (
@@ -400,6 +416,14 @@ class TestCsv:
         assert str(caught.value) == f"{path}: line 152: {message}"
         assert len(calls) > 10  # the rows before it went through numpy, chunk by chunk
 
+    @pytest.mark.parametrize("header", ["id,label", "label,id,f1", "id,lbl,f1", "ID,label,f1"])
+    def test_header_of_the_wrong_form_names_line_1(self, tmp_path, header):
+        path = tmp_path / "odd.csv"
+        path.write_text(f"{header}\n0,0,1.0\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_csv(path)
+        assert str(excinfo.value) == f"{path}: line 1: header must be 'id,label,f1,...,fd', got {header!r}"
+
     def test_utf8_is_read_whatever_the_locale(self, tmp_path):
         path = tmp_path / "utf8.csv"
         path.write_bytes("id,label,\u00e9\r\n0,2,1.5\r\n".encode())
@@ -545,6 +569,12 @@ class TestStratifiedKFold:
             FoldPartition(0, train_ids=np.array([1, 2, 2]), val_ids=np.array([4]), test_ids=np.array([5]))
         part = FoldPartition(0, train_ids=np.array([2, 1]), val_ids=np.array([], dtype=np.int64), test_ids=[5])
         assert part.train_ids.tolist() == [2, 1] and part.test_ids.tolist() == [5]
+
+    @pytest.mark.parametrize("empty", ["train_ids", "test_ids"])
+    def test_partition_needs_train_and_test_ids(self, empty):
+        ids = {"train_ids": [1, 2], "val_ids": [3], "test_ids": [4]} | {empty: np.array([], dtype=np.int64)}
+        with pytest.raises(ValueError, match=r"^train and test sets must be non-empty$"):
+            FoldPartition(0, **ids)
 
     def test_partition_export(self, tmp_path):
         ds = synth(counts=(10, 10, 10), seed=7)

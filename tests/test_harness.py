@@ -305,6 +305,8 @@ class TestParseConfig:
                 "data:\n  synthetic:\n    counts: [10, 10, 10]\narms: {kind: step}\n",
                 "arms must be a non-empty list of Arm, got {'kind': 'step'}",
             ),
+            ("data:\n  synthetic:\n    seed: 3\narms:\n  - {kind: step}\n", "data.synthetic: missing required key 'counts'"),
+            ("data:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {L: 3}\n", "arms[0]: missing required key 'kind'"),
             (
                 "data:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: exponential, epsilon: 0}\n",
                 "arms[0].epsilon must lie in (0, 1), got 0.0",
@@ -600,6 +602,22 @@ class TestRunExperiment:
                     float(np.mean(per_fold)), abs=1e-12
                 )
 
+    def test_means_derive_from_the_folds_alone(self):
+        from curricula.harness import ExperimentReport
+        from curricula.metrics import MetricsReport
+
+        # Dyadic values, so every summation order gives the same exact mean.
+        folds = [MetricsReport(0.25, 0.5, 0.75, 1.0, 0.0), MetricsReport(0.5, 0.5, 0.25, 0.0, 0.5)]
+        folds.append(MetricsReport(0.75, 0.125, 1.0, 0.5, 1.0))
+        report = ExperimentReport({"b": folds, "a": folds[1:2]})
+        assert list(report.means) == ["b", "a"]
+        assert report.means["b"] == MetricsReport(0.5, 0.375, 2 / 3, 0.5, 0.5)
+        assert report.means["a"] == folds[1]
+        assert report.means is report.means  # derived once, however often a report reads it
+        assert [f.name for f in dataclasses.fields(ExperimentReport)] == ["per_fold"]
+        with pytest.raises(TypeError):
+            ExperimentReport(per_fold={"a": folds}, means={"a": folds[0]})
+
     def test_deterministic_reports(self, small_config, tmp_path):
         config = parse_config(small_config)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -753,10 +771,7 @@ class TestRenderReport:
         from curricula.metrics import MetricsReport
 
         rep = MetricsReport(0.5, 0.5, 0.5, 0.5, 0.5)
-        report = ExperimentReport(
-            per_fold={"a": [rep], "b": [rep]},
-            means={"a": rep, "b": rep},
-        )
+        report = ExperimentReport(per_fold={"a": [rep], "b": [rep]})
         table = render_report(report, tmp_path / "out")
         body = table.splitlines()[1:]
         assert all(line.count("*") == 5 for line in body)
@@ -795,6 +810,14 @@ class TestCli:
         flag_dir = tmp_path / "from_flag"
         assert cli.main(["run", "--config", str(small_config), "--out", str(flag_dir)]) == 0
         assert (flag_dir / "means.csv").exists()
+
+    def test_without_flag_or_env_var_the_config_sets_output_dir(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("CURRICULA_OUT", raising=False)
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, f"out_dir: {tmp_path / 'from_config'}\n{SMALL_CONFIG}")
+        assert cli.main(["run", "--config", str(config)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "from_config"]
+        assert sorted(p.name for p in (tmp_path / "from_config").iterdir()) == ["means.csv", "per_fold.csv", "report.txt"]
 
     def test_gen_data_round_trip(self, small_config, tmp_path):
         out_csv = tmp_path / "data.csv"

@@ -118,6 +118,73 @@ def test_weight_out_of_range_rejected():
             combined_loss_grad(np.zeros(3), 0, lam)
 
 
+P = np.array([0.2, 0.3, 0.5])
+
+
+@pytest.mark.parametrize(
+    "function, args, message",
+    [
+        (hard_loss, (P, None), "fine label must be 0, 1, or 2, got None"),
+        (hard_loss, (P, math.inf), "fine label must be 0, 1, or 2, got inf"),
+        (hard_loss, (P, math.nan), "fine label must be 0, 1, or 2, got nan"),
+        (hard_loss, (P, np.float64(1.5)), "fine label must be 0, 1, or 2, got np.float64(1.5)"),
+        (hard_loss, (P, np.True_), "fine label must be 0, 1, or 2, got np.True_"),
+        (hard_loss, (P, "1"), "fine label must be 0, 1, or 2, got '1'"),
+        (coarsen, (True,), "fine label must be 0, 1, or 2, got True"),
+        (coarsen, (3,), "fine label must be 0, 1, or 2, got 3"),
+        (easy_loss, (P, None), "coarse label must be 0 or 1, got None"),
+        (easy_loss, (P, 2), "coarse label must be 0 or 1, got 2"),
+        (easy_loss, (P, False), "coarse label must be 0 or 1, got False"),
+        (combined_loss, (P, 0, "0.5"), "curriculum weight must be a number, got '0.5'"),
+        (combined_loss, (P, 0, True), "curriculum weight must be a number, got True"),
+        (combined_loss, (P, 0, None), "curriculum weight must be a number, got None"),
+        (combined_loss, (P, 0, np.float32(0.5)), "curriculum weight must be a number, got np.float32(0.5)"),
+        (combined_loss, (P, 0, math.inf), "curriculum weight must be finite, got inf"),
+        (combined_loss, (P, 0, 1.5), "curriculum weight must lie in [0, 1], got 1.5"),
+        (combined_loss_grad, (np.zeros(3), 0, "0.5"), "curriculum weight must be a number, got '0.5'"),
+        (combined_loss_grad, (np.zeros(3), None, 0.5), "fine label must be 0, 1, or 2, got None"),
+        (combined_loss_grad, (np.zeros(2), 0, 0.5), "expected 3 scores, got shape (2,)"),
+        (combined_loss_grad, (np.zeros((1, 3)), 0, 0.5), "expected 3 scores, got shape (1, 3)"),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else None,
+)
+def test_scalar_references_name_a_bad_label_weight_or_score_shape(function, args, message):
+    with pytest.raises(ValueError) as excinfo:
+        function(*args)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("function", [hard_loss, easy_loss, combined_loss])
+@pytest.mark.parametrize(
+    "p",
+    [[0.2, 0.3], [], [0.2, 0.3, 0.5, 0.0], [[0.2, 0.3, 0.5]], [math.nan, 0.5, 0.5], [0.2, math.inf, 0.3],
+     [2.0, 0.5, 0.5], [-0.1, 0.6, 0.5], ["0.2", "0.3", "0.5"], [True, False, False], None],
+)
+def test_scalar_references_take_only_three_probabilities(function, p):
+    # Unchecked, these would raise IndexError or TypeError, or return NaN or a clamped loss.
+    args = (p, 0) if function is not combined_loss else (p, 0, 0.5)
+    with pytest.raises(ValueError) as excinfo:
+        function(*args)
+    assert str(excinfo.value) == f"p must be three probabilities in [0, 1], got {p!r}"
+
+
+@pytest.mark.parametrize("p", [P, [0.2, 0.3, 0.5], (1, 0, 0), P.astype(np.float32), np.array([0.0, 1.0, 0.0])])
+def test_every_kind_of_valid_argument_gives_the_bits_of_plain_floats(p):
+    plain = [float(v) for v in p]
+    for y in (0, 1, 2):
+        expected = hard_loss(plain, y)
+        for same in (np.int64(y), float(y), np.float32(y), np.uint8(y)):
+            assert hard_loss(p, same) == expected
+            assert coarsen(same) == coarsen(y)
+        for lam in (0.0, 0.3, 1.0):
+            expected = combined_loss(plain, y, lam)
+            assert combined_loss(p, np.int64(y), np.float64(lam)) == expected
+            scores = np.log(np.maximum(plain, PROB_FLOOR))
+            expected = combined_loss_grad(scores, y, lam)
+            np.testing.assert_array_equal(combined_loss_grad(scores, np.float32(y), np.float64(lam)), expected)
+        assert combined_loss(p, y, -0.0) == combined_loss(plain, y, 0.0)
+
+
 def test_grad_hand_values():
     zero = np.zeros(3)
     np.testing.assert_allclose(
@@ -167,9 +234,11 @@ def test_batch_matches_scalar_ops():
 
 def test_batch_input_validation():
     onehot = class_onehot(np.array([0, 1]))
-    for lam in (-0.1, 1.1, float("nan")):
-        with pytest.raises(ValueError, match="^curriculum weight must lie in"):
+    for lam in (-0.1, 1.1):
+        with pytest.raises(ValueError, match=rf"^curriculum weight must lie in \[0, 1\], got {lam}$"):
             batch_combined_loss_grad(np.zeros((2, 3)), onehot, lam)
+    with pytest.raises(ValueError, match="^curriculum weight must be finite, got nan$"):
+        batch_combined_loss_grad(np.zeros((2, 3)), onehot, float("nan"))
     # The labels themselves are not a one-hot: class_onehot checks and builds it.
     with pytest.raises(ValueError, match=r"^expected scores and one-hot of shape \(2, 3\)"):
         batch_combined_loss_grad(np.zeros((2, 3)), np.array([0, 1]), 0.5)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,33 @@ def test_labels_outside_the_classes_rejected_before_any_cast(metric, bad):
     labels = np.array([0, bad, 2, 1, 0, 2])
     with pytest.raises(ValueError, match="^labels must be 0, 1, or 2$"):
         metric(np.full((6, 3), 1 / 3), labels)
+
+
+@pytest.mark.parametrize(
+    "metric, args, message",
+    [
+        (accuracy, (np.ones((2, 2)) / 2, [0, 1]), "probs must have shape (n, 3), got (2, 2)"),
+        (accuracy, (np.ones(3) / 3, [0]), "probs must have shape (n, 3), got (3,)"),
+        (evaluate, (np.ones((0, 3)), []), "need at least one sample"),
+        (balanced_accuracy, (np.ones((0, 3)), []), "need at least one sample"),
+        (evaluate, (np.array([[np.nan, 0.5, 0.5], [0.2, 0.3, 0.5], [0.2, 0.3, 0.5]]), [0, 1, 2]), "probabilities must be finite"),
+        (average_auc, (np.array([[0.2, np.inf, 0.3], [0.2, 0.3, 0.5], [0.2, 0.3, 0.5]]), [0, 1, 2]), "probabilities must be finite"),
+        (auc_binary, ([0.1, 0.2], [1]), "scores and targets must be equal-length 1-D, got (2,) vs (1,)"),
+        (auc_binary, ([[0.1, 0.2]], [[0, 1]]), "scores and targets must be equal-length 1-D, got (1, 2) vs (1, 2)"),
+        (auc_binary, ([0.1, 0.2, 0.3], [0, 2, 1]), "targets must be 0 or 1"),
+        (auc_binary, ([0.1, 0.2], [0.5, 1]), "targets must be 0 or 1"),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else None,
+)
+def test_bad_inputs_fail_with_exact_message(metric, args, message):
+    with pytest.raises(ValueError) as excinfo:
+        metric(*args)
+    assert str(excinfo.value) == message
+
+
+def test_metric_names_are_the_report_fields_in_order():
+    assert METRIC_NAMES == tuple(f.name for f in dataclasses.fields(MetricsReport))
+    assert METRIC_NAMES == ("accuracy", "balanced_accuracy", "average_auc", "binary_accuracy", "binary_auc")
 
 
 def test_report_validation():

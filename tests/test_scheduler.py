@@ -129,9 +129,12 @@ def test_default_switch_epoch_is_half_the_budget():
 
 def test_epoch_out_of_range_rejected():
     s = spec("linear", L=10)
-    for bad in (-1, 1.5, True):
-        with pytest.raises(ValueError, match="epoch must be a non-negative integer"):
+    with pytest.raises(ValueError, match="^epoch must be at least 0, got -1$"):
+        lambda_at(s, -1)
+    for bad in (1.5, 2.0, True):
+        with pytest.raises(ValueError) as excinfo:
             lambda_at(s, bad)
+        assert str(excinfo.value) == f"epoch must be an integer, got {bad!r}"
     # no upper bound: the epoch count is the caller's, and every epoch past L weighs 0
     assert lambda_at(s, 21) == 0.0
 

@@ -46,6 +46,8 @@ def _check_inputs(probs, labels, every_class: bool = False) -> tuple[np.ndarray,
         raise ValueError("need at least one sample")
     if not np.all(np.isfinite(p)):
         raise ValueError("probabilities must be finite")
+    if not np.all((p >= 0.0) & (p <= 1.0)):
+        raise ValueError("probabilities must lie in [0, 1]")
     # The raw labels, before any cast: as int64, 1.5 would pass as 1.
     present = class_onehot(y).any(axis=0)
     if every_class and not present.all():

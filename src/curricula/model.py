@@ -125,11 +125,16 @@ def _forward(params: ModelParams, x: np.ndarray, workspace: Workspace | None = N
 
 
 def predict_proba_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Class probabilities (softmax of the final scores), one row per sample."""
+    """Class probabilities (softmax of the final scores), one row per sample, scored in chunks of
+    ``max(1, 2**15 // max(layer_sizes))`` rows: one chunk has one pass's bits, more may move a row by a few ulp."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.layer_sizes[0]:
         raise ValueError(f"expected an (n, {params.layer_sizes[0]}) feature matrix, got shape {x.shape}")
-    return softmax(_forward(params, x)[0])
+    probs = np.empty((len(x), len(CLASSES)))
+    rows = max(1, 2**15 // max(params.layer_sizes))
+    for start in range(0, len(x), rows):
+        probs[start : start + rows] = softmax(_forward(params, x[start : start + rows])[0])
+    return probs
 
 
 def _backward(params: ModelParams, score_grad: np.ndarray, activations, workspace: Workspace):

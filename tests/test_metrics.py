@@ -14,6 +14,7 @@ from curricula.metrics import (
     evaluate,
     mean_recall,
 )
+from curricula.model import ModelParams, predict_proba_batch
 
 
 def pairwise_auc(scores, targets):
@@ -269,6 +270,8 @@ def test_labels_outside_the_classes_rejected_before_any_cast(metric, bad):
         (balanced_accuracy, (np.ones((0, 3)), []), "need at least one sample"),
         (evaluate, (np.array([[np.nan, 0.5, 0.5], [0.2, 0.3, 0.5], [0.2, 0.3, 0.5]]), [0, 1, 2]), "probabilities must be finite"),
         (average_auc, (np.array([[0.2, np.inf, 0.3], [0.2, 0.3, 0.5], [0.2, 0.3, 0.5]]), [0, 1, 2]), "probabilities must be finite"),
+        (accuracy, ([[2.0, -1.0, 0.0]], [0]), "probabilities must lie in [0, 1]"),
+        (evaluate, ([[5.0, -3.0, 0.0], [-3.0, 5.0, 0.0], [0.0, -3.0, 5.0]], [0, 1, 2]), "probabilities must lie in [0, 1]"),
         (auc_binary, ([0.1, 0.2], [1]), "scores and targets must be equal-length 1-D, got (2,) vs (1,)"),
         (auc_binary, ([[0.1, 0.2]], [[0, 1]]), "scores and targets must be equal-length 1-D, got (1, 2) vs (1, 2)"),
         (auc_binary, ([0.1, 0.2, 0.3], [0, 2, 1]), "targets must be 0 or 1"),
@@ -280,6 +283,31 @@ def test_bad_inputs_fail_with_exact_message(metric, args, message):
     with pytest.raises(ValueError) as excinfo:
         metric(*args)
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("metric", [accuracy, balanced_accuracy, average_auc, binary_task_metrics, evaluate])
+@pytest.mark.parametrize("entry", [-5e-324, -0.5, 1.0 + 2**-52, 2.0])
+def test_an_entry_outside_the_unit_interval_is_not_a_probability(metric, entry):
+    # the nearest floats beyond 0 and 1 are refused: the rule has no tolerance
+    probs = np.array([[0.2, 0.3, 0.5], [0.2, entry, 0.5], [0.2, 0.3, 0.5]])
+    with pytest.raises(ValueError) as excinfo:
+        metric(probs, [0, 1, 2])
+    assert str(excinfo.value) == "probabilities must lie in [0, 1]"
+
+
+def test_entries_of_exactly_zero_and_one_are_probabilities():
+    # no row-sum rule: softmax rows miss 1 by rounding, so only the entries are checked
+    probs = np.array([[1.0, 0.0, -0.0], [-0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    assert evaluate(probs, [0, 1, 2]) == MetricsReport(1.0, 1.0, 1.0, 1.0, 1.0)
+
+
+def test_predictions_from_extreme_scores_are_probabilities():
+    # Scores 1400 apart: softmax rounds the winner to exactly 1.0 and the loser to 0.0.
+    weights = np.array([[700.0, 0.0], [0.0, 700.0], [-700.0, -700.0]])
+    params = ModelParams((2, 3), np.concatenate([weights.ravel(), np.zeros(3)]))
+    probs = predict_proba_batch(params, np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]))
+    assert (probs == 1.0).sum() == 3 and (probs == 0.0).any()
+    assert evaluate(probs, [0, 1, 2]) == MetricsReport(1.0, 1.0, 1.0, 1.0, 1.0)
 
 
 def test_metric_names_are_the_report_fields_in_order():

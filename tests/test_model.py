@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curricula import losses as losses_mod
 from curricula import model as model_mod
@@ -141,6 +143,105 @@ def test_dimension_mismatch_rejected():
         predict_proba_batch(params, np.ones(4))  # a single vector is not a batch
     with pytest.raises(ValueError):
         predict_proba_batch(params, np.ones((5, 2)))
+
+
+def one_pass_proba(params, x):
+    """Prediction as one forward pass over every row: the unchunked form, frozen here."""
+    return softmax(model_mod._forward(params, x)[0])
+
+
+def chunk_rows(layer_sizes):
+    """Rows per chunk: the most that keep every layer within 2**15 floats, at least one."""
+    return max(1, 2**15 // max(layer_sizes))
+
+
+def assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert actual.tobytes() == expected.tobytes()
+
+
+@st.composite
+def chunked_predictions(draw):
+    """A model, possibly with one layer wide enough to force many small chunks, and
+    an input of whole chunks plus a remainder of none, one row, or a ragged few."""
+    hidden = draw(st.lists(st.integers(1, 40), max_size=2))
+    wide = draw(st.sampled_from([None, 1000, 3000, 2**13, 2**15 + 1]))
+    if wide is not None:
+        hidden.insert(draw(st.integers(0, len(hidden))), wide)
+    sizes = [draw(st.integers(1, 6)), *hidden, 3]
+    rows = chunk_rows(sizes)
+    remainder = draw(st.sampled_from([0, 1]) | st.integers(0, rows - 1))
+    n = draw(st.integers(0, 3)) * rows + remainder
+    seed = draw(st.integers(0, 2**32 - 1))
+    x = np.random.default_rng(seed).normal(size=(n, sizes[0]))
+    return init(sizes, seed), x, rows
+
+
+@settings(deadline=None, max_examples=60)
+@given(chunked_predictions())
+def test_chunked_prediction_is_the_concatenation_of_its_chunks(case):
+    params, x, rows = case
+    probs = predict_proba_batch(params, x)
+    chunks = [predict_proba_batch(params, x[start : start + rows]) for start in range(0, len(x), rows)]
+    assert_same_bits(probs, np.concatenate(chunks) if chunks else np.empty((0, 3)))
+    if len(x) <= rows:
+        assert_same_bits(probs, one_pass_proba(params, x))
+    else:
+        np.testing.assert_allclose(probs, one_pass_proba(params, x), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize(
+    "sizes, n",
+    [
+        ([32, 256, 256, 3], 1),
+        ([32, 256, 256, 3], 127),
+        ([32, 256, 256, 3], 128),  # exactly one chunk at wide-mlp's width
+        ([2, 16, 3], 342),  # desk's largest validation or test fold: one chunk of 2048 rows
+        ([8, 16, 3], 2048),  # exactly one chunk at cli-100k's shapes
+    ],
+)
+def test_chunked_prediction_within_one_chunk_has_the_bits_of_one_pass(sizes, n):
+    params = init(sizes, seed=4)
+    x = np.random.default_rng(n).normal(size=(n, sizes[0]))
+    assert n <= chunk_rows(sizes)
+    assert_same_bits(predict_proba_batch(params, x), one_pass_proba(params, x))
+
+
+@pytest.mark.parametrize(
+    "sizes, n",
+    [
+        ([32, 256, 256, 3], 480),  # wide-mlp's validation fold: three chunks of 128 and one of 96
+        ([8, 16, 3], 2049),  # a one-row remainder at cli-100k's shapes
+        ([1, 2**15 + 1, 3], 3),  # wider than 2**15: one row per chunk
+    ],
+)
+def test_chunked_prediction_across_chunks_agrees_with_one_pass(sizes, n):
+    params = init(sizes, seed=5)
+    x = np.random.default_rng(n).normal(size=(n, sizes[0]))
+    assert n > chunk_rows(sizes)
+    probs = predict_proba_batch(params, x)
+    np.testing.assert_allclose(probs, one_pass_proba(params, x), rtol=1e-13, atol=0)
+
+
+def test_chunked_prediction_of_no_rows_is_empty():
+    probs = predict_proba_batch(init([4, 300, 3], seed=0), np.empty((0, 4)))
+    assert probs.shape == (0, 3) and probs.dtype == np.float64
+
+
+def test_chunked_prediction_holds_one_chunk_of_each_layer():
+    params = init([32, 256, 256, 3], seed=2)
+    x = np.random.default_rng(9).normal(size=(4096, 32))
+    predict_proba_batch(params, x)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        probs = predict_proba_batch(params, x)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # A chunk is 128 rows at width 256: two 256 KiB hidden arrays live at once.
+    # One pass over all 4096 rows would hold two 8 MiB ones.
+    assert peak < probs.nbytes + 1024 * 1024, (peak, probs.nbytes)
 
 
 def test_bias_shift_invariance():

@@ -10,8 +10,8 @@ the fold index, so arms differ only in their curriculum schedule.
 
 from __future__ import annotations
 
+import dataclasses
 import re
-from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -42,12 +42,14 @@ def child_seed(master: int, tag: str, index: int = 0) -> int:
     and the triple is run through numpy's SeedSequence, so child streams
     are independent, reproducible, and platform-stable.
     """
+    whole(master, "master", 0)
+    whole(index, "index", 0)
     tag_int = int.from_bytes(tag.encode("utf8"), "little")
-    ss = np.random.SeedSequence([int(master), int(index), tag_int])
+    ss = np.random.SeedSequence([master, index, tag_int])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Arm:
     name: str
     spec: SchedulerSpec
@@ -61,7 +63,7 @@ class Arm:
             raise ValueError(f"spec must be a SchedulerSpec, got {self.spec!r}")
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     train: TrainConfig
     arms: tuple[Arm, ...]
@@ -106,8 +108,8 @@ class ExperimentConfig:
 # and check every value.
 _CONFIG_KEYS = {"out_dir": "out_dir", "k": "k", "val_fraction": "val_fraction", "seed": "seed"}
 _DATA_KEYS = {"synthetic": "synth", "csv": "csv_path"}
-_SYNTH_KEYS = {key: key for key in ("counts", "seed", "feature_dim", "separation", "overlap", "noise")}
-_TRAIN_KEYS = {key: key for key in ("hidden_sizes", "learning_rate", "epochs", "batch_size")}
+_SYNTH_KEYS = {f.name: f.name for f in dataclasses.fields(SynthConfig)}
+_TRAIN_KEYS = {f.name: f.name for f in dataclasses.fields(TrainConfig)}
 _ARM_KEYS = {"kind": "kind", "L": "switch_epoch", "epsilon": "exp_floor", "name": "name"}
 
 
@@ -204,7 +206,7 @@ def resolved_seeds(config: ExperimentConfig) -> dict:
 
 def resolved_synth(config: ExperimentConfig) -> SynthConfig:
     """The config's synthetic-data parameters with the seed filled in."""
-    return replace(config.synth, seed=resolved_seeds(config)["data"])
+    return dataclasses.replace(config.synth, seed=resolved_seeds(config)["data"])
 
 
 def build_dataset(config: ExperimentConfig) -> Dataset:
@@ -214,7 +216,7 @@ def build_dataset(config: ExperimentConfig) -> Dataset:
     return generate_synthetic(resolved_synth(config))
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ExperimentReport:
     """Per-fold metrics for every arm, in the arm order of ``per_fold``; ``means`` derives from them."""
 

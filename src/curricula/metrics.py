@@ -36,23 +36,23 @@ METRIC_NAMES = tuple(f.name for f in fields(MetricsReport))
 
 
 def _check_inputs(probs, labels, every_class: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    p = np.asarray(probs, dtype=np.float64)
+    p = np.asarray(probs)
     y = np.asarray(labels)
+    if p.dtype.kind not in "iuf":
+        raise ValueError(f"probabilities must be real numbers, got dtype {p.dtype}")
     if p.ndim != 2 or p.shape[1] != 3:
         raise ValueError(f"probs must have shape (n, 3), got {p.shape}")
     if y.shape != (p.shape[0],):
         raise ValueError(f"probs and labels lengths differ: {p.shape[0]} vs {y.shape}")
     if p.shape[0] == 0:
         raise ValueError("need at least one sample")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("probabilities must be finite")
-    if not np.all((p >= 0.0) & (p <= 1.0)):
-        raise ValueError("probabilities must lie in [0, 1]")
+    if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN and inf fail it too; the message says which
+        raise ValueError("probabilities must lie in [0, 1]" if np.isfinite(p).all() else "probabilities must be finite")
     # The raw labels, before any cast: as int64, 1.5 would pass as 1.
     present = class_onehot(y).any(axis=0)
     if every_class and not present.all():
         raise ValueError(f"class {int(np.argmin(present))} is absent from labels")
-    return p, y.astype(np.int64, copy=False)
+    return p.astype(np.float64, copy=False), y.astype(np.int64, copy=False)
 
 
 def accuracy(probs, labels) -> float:
@@ -92,10 +92,12 @@ def auc_binary(scores, targets) -> float:
     (win = 1, tie = 1/2) exactly, ties included. ±inf scores rank like
     any other value; NaN scores have no order and are rejected.
     """
-    s = np.asarray(scores, dtype=np.float64)
+    s = np.asarray(scores)
     t = np.asarray(targets)
     if s.ndim != 1 or s.shape != t.shape:
         raise ValueError(f"scores and targets must be equal-length 1-D, got {s.shape} vs {t.shape}")
+    if s.dtype.kind not in "iuf":
+        raise ValueError(f"scores must be real numbers, got dtype {s.dtype}")
     if not np.isin(t, (0, 1)).all():
         raise ValueError("targets must be 0 or 1")
     t = t.astype(bool)

@@ -79,10 +79,6 @@ class ModelParams:
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {l} parameters must be finite")
 
-    def copy(self) -> "ModelParams":
-        """An independent copy: the constructor copies the buffer."""
-        return ModelParams(self.layer_sizes, self.flat)
-
 
 def init(layer_sizes, seed: int) -> ModelParams:
     """Fresh parameters: weights ~ N(0, 1/fan_in), biases zero, seeded."""
@@ -193,13 +189,13 @@ def train_epoch(
 
 @dataclass
 class TrainResult:
-    """Outcome of a full training run with best-epoch selection; the
-    selected epoch's validation score is ``val_scores[best_epoch]``."""
+    """Outcome of a full training run with best-epoch selection; ``best_epoch``
+    is the first maximum of ``val_scores``."""
 
     params: ModelParams
     best_epoch: int
-    epoch_losses: list[float] = field(default_factory=list)
-    val_scores: list[float] = field(default_factory=list)
+    epoch_losses: list[float]
+    val_scores: list[float]
 
 
 def train(
@@ -227,7 +223,6 @@ def train(
             f"need one curriculum weight per epoch ({config.epochs}), got {len(lambdas)}"
         )
 
-    best_epoch = 0
     epoch_losses: list[float] = []
     val_scores: list[float] = []
     workspace = Workspace(params, min(config.batch_size, len(train_set)))
@@ -237,15 +232,14 @@ def train(
                 epoch_losses.append(train_epoch(params, train_set, lam, config, rng, workspace))
                 probs = predict_proba_batch(params, val_set.features)
                 score = mean_recall(np.argmax(probs, axis=1), val_set.labels)
-                if epoch == 0 or score > val_scores[best_epoch]:
-                    best_epoch = epoch
-                    best_params = params.copy()
+                if not val_scores or score > max(val_scores):
+                    best_params = ModelParams(params.layer_sizes, params.flat)  # the constructor copies
                 val_scores.append(score)
             except ValueError as e:
                 raise ValueError(f"epoch {epoch}: {e}") from e
     return TrainResult(
         params=best_params,
-        best_epoch=best_epoch,
+        best_epoch=int(np.argmax(val_scores)),
         epoch_losses=epoch_losses,
         val_scores=val_scores,
     )

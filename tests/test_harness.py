@@ -78,6 +78,28 @@ class TestChildSeed:
         assert len(seeds) == 4
 
 
+    def test_mixes_master_index_and_tag_through_seed_sequence(self):
+        tag = int.from_bytes(b"init", "little")
+        for master, index in ((0, 0), (0, 4), (7, 0)):
+            expected = np.random.SeedSequence([master, index, tag]).generate_state(1, np.uint64)[0]
+            assert child_seed(master, "init", index) == int(expected)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((1.5, "x"), "master must be an integer, got 1.5"),
+            ((True, "x"), "master must be an integer, got True"),
+            ((-1, "x"), "master must be at least 0, got -1"),
+            ((1, "x", 2.7), "index must be an integer, got 2.7"),
+            ((1, "x", -1), "index must be at least 0, got -1"),
+        ],
+    )
+    def test_master_and_index_are_whole_numbers(self, args, message):
+        with pytest.raises(ValueError) as excinfo:
+            child_seed(*args)
+        assert str(excinfo.value) == message
+
+
 class TestParseConfig:
     def test_minimal_config_fills_defaults(self, tmp_path):
         path = write_config(
@@ -531,6 +553,27 @@ def test_bad_values_cover_every_config_key():
         ("arms", 0): harness._ARM_KEYS,
     }
     assert set(BAD_VALUES) == {(*where, key) for where, keys in sections.items() for key in keys}
+
+
+@pytest.mark.parametrize(
+    "path, cls, instance",
+    [(("train",), TrainConfig, TrainConfig()), (("data", "synthetic"), SynthConfig, SynthConfig(counts=(10, 10, 10)))],
+)
+def test_accepted_section_keys_are_the_dataclass_fields(tmp_path, path, cls, instance):
+    names = sorted(f.name for f in dataclasses.fields(cls))
+    raw = copy.deepcopy(VALID)
+    section = raw
+    for step in path:
+        section = section.setdefault(step, {})
+    # every field is a key, and setting each one builds the same dataclass
+    section.update({name: list(v) if isinstance(v, tuple) else v for name, v in dataclasses.asdict(instance).items()})
+    config = parse_config(write_config(tmp_path, yaml.safe_dump(raw)))
+    assert (config.train if cls is TrainConfig else config.synth) == instance
+    # and no other key is
+    section["bogus"] = 1
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(write_config(tmp_path, yaml.safe_dump(raw)))
+    assert str(excinfo.value) == f"{'.'.join(path)}: unknown keys ['bogus']; allowed keys are {names}"
 
 
 @settings(deadline=None, max_examples=300)

@@ -272,6 +272,14 @@ def test_labels_outside_the_classes_rejected_before_any_cast(metric, bad):
         (average_auc, (np.array([[0.2, np.inf, 0.3], [0.2, 0.3, 0.5], [0.2, 0.3, 0.5]]), [0, 1, 2]), "probabilities must be finite"),
         (accuracy, ([[2.0, -1.0, 0.0]], [0]), "probabilities must lie in [0, 1]"),
         (evaluate, ([[5.0, -3.0, 0.0], [-3.0, 5.0, 0.0], [0.0, -3.0, 5.0]], [0, 1, 2]), "probabilities must lie in [0, 1]"),
+        (evaluate, ([[np.nan, 2.0, 0.0], [0.2, 0.3, 0.5], [0.2, 0.3, 0.5]], [0, 1, 2]), "probabilities must be finite"),
+        (accuracy, ([["1", "0", "0"]], [0]), "probabilities must be real numbers, got dtype <U1"),
+        (evaluate, (np.eye(3, dtype=bool), [0, 1, 2]), "probabilities must be real numbers, got dtype bool"),
+        (balanced_accuracy, (np.full((3, 3), 0.5, dtype=object), [0, 1, 2]), "probabilities must be real numbers, got dtype object"),
+        (average_auc, (np.full((3, 3), 0.5 + 0j), [0, 1, 2]), "probabilities must be real numbers, got dtype complex128"),
+        (auc_binary, (["0.1", "0.9"], [0, 1]), "scores must be real numbers, got dtype <U3"),
+        (auc_binary, ([False, True], [0, 1]), "scores must be real numbers, got dtype bool"),
+        (auc_binary, (np.array([0.1, 0.9], dtype=object), [0, 1]), "scores must be real numbers, got dtype object"),
         (auc_binary, ([0.1, 0.2], [1]), "scores and targets must be equal-length 1-D, got (2,) vs (1,)"),
         (auc_binary, ([[0.1, 0.2]], [[0, 1]]), "scores and targets must be equal-length 1-D, got (1, 2) vs (1, 2)"),
         (auc_binary, ([0.1, 0.2, 0.3], [0, 2, 1]), "targets must be 0 or 1"),
@@ -293,6 +301,23 @@ def test_an_entry_outside_the_unit_interval_is_not_a_probability(metric, entry):
     with pytest.raises(ValueError) as excinfo:
         metric(probs, [0, 1, 2])
     assert str(excinfo.value) == "probabilities must lie in [0, 1]"
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float16, np.float32])
+def test_integer_and_narrow_float_entries_score_as_their_float64_values(dtype):
+    probs = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0], [0, 0, 1]], dtype=dtype)
+    assert evaluate(probs, [0, 1, 2, 1, 2]) == evaluate(probs.astype(np.float64), [0, 1, 2, 1, 2])
+    scores = np.array([3, 1, 2, 2], dtype=dtype)
+    assert auc_binary(scores, [1, 0, 1, 0]) == auc_binary(scores.astype(np.float64), [1, 0, 1, 0]) == 0.875
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32])
+def test_narrow_floats_are_scored_in_float64(dtype):
+    # In float16, 1 - p[0] would round nearby class-0 probabilities to one score.
+    rng = np.random.default_rng(4)
+    probs = rng.dirichlet([1.0, 1.0, 1.0], size=300).astype(dtype)
+    labels = np.arange(300) % 3
+    assert evaluate(probs, labels) == evaluate(probs.astype(np.float64), labels)
 
 
 def test_entries_of_exactly_zero_and_one_are_probabilities():

@@ -95,7 +95,7 @@ def test_params_live_in_one_flat_buffer_and_copies_are_independent():
     assert all(np.shares_memory(a, params.flat) for a in params.weights + params.biases)
     params.flat += 1.0
     assert params.weights[1][0, 0] == 13.0 and params.biases[1][0] == 25.0
-    copy = params.copy()
+    copy = ModelParams(params.layer_sizes, params.flat)
     before = params.flat.copy()
     copy.weights[0][0, 0] = -5.0
     copy.biases[1] += 7.0
@@ -105,7 +105,7 @@ def test_params_live_in_one_flat_buffer_and_copies_are_independent():
 
 def test_params_compare_by_identity():
     params = init([2, 4, 3], seed=0)
-    assert params == params and params != params.copy()  # an array-valued field comparison would raise
+    assert params == params and params != ModelParams(params.layer_sizes, params.flat)  # an array-valued field comparison would raise
 
 
 def test_workspace_gradients_live_in_one_buffer_shaped_like_the_params():
@@ -357,7 +357,7 @@ def test_zero_weight_training_equals_plain_cross_entropy():
     for sizes in ([3, 5, 3], [3, 5, 4, 3]):
         config = TrainConfig(learning_rate=0.05, epochs=1, batch_size=16, hidden_sizes=tuple(sizes[1:-1]))
         ours = init(sizes, seed=11)
-        reference = ours.copy()
+        reference = ModelParams(ours.layer_sizes, ours.flat)
         for _ in range(10):
             train_epoch(ours, dataset, 0.0, config, np.random.default_rng(99), Workspace(ours, config.batch_size))
         for _ in range(10):
@@ -469,6 +469,38 @@ def test_a_tie_after_a_rise_keeps_the_earlier_epoch(monkeypatch):
     train(two_epochs, dataset, dataset, [0.5] * 2, replace(config, epochs=2), np.random.default_rng(9))
     assert result.params.flat.tobytes() == two_epochs.flat.tobytes()
     assert result.params.flat.tobytes() != params.flat.tobytes()
+
+
+def test_a_diverged_epoch_selected_as_best_still_fails_in_that_epoch(monkeypatch):
+    # The snapshot is taken through the constructor, whose finiteness check
+    # names the layer even when the diverged epoch scores best.
+    real_epoch = model_mod.train_epoch
+
+    def diverging_epoch(params, *args):
+        loss = real_epoch(params, *args)
+        params.flat[0] = np.inf
+        return loss
+
+    monkeypatch.setattr(model_mod, "train_epoch", diverging_epoch)
+    monkeypatch.setattr(model_mod, "mean_recall", lambda predicted, labels: 1.0)
+    dataset = tiny_dataset(np.random.default_rng(6), n=30)
+    config = TrainConfig(epochs=2, batch_size=8, hidden_sizes=(4,))
+    with pytest.raises(ValueError) as excinfo:
+        train(init([3, 4, 3], seed=8), dataset, dataset, [0.5] * 2, config, np.random.default_rng(9))
+    assert str(excinfo.value) == "epoch 0: layer 0 parameters must be finite"
+
+
+def test_best_epoch_is_the_first_maximum_of_the_validation_scores(monkeypatch):
+    for scores in ([0.5, 0.5, 0.5], [0.2, 0.6, 0.4, 0.6], [0.9, 0.1, 0.9], [0.1, 0.2, 0.3]):
+        sequence = iter(scores)
+        monkeypatch.setattr(model_mod, "mean_recall", lambda predicted, labels: next(sequence))
+        dataset = tiny_dataset(np.random.default_rng(6), n=30)
+        config = TrainConfig(epochs=len(scores), batch_size=8, hidden_sizes=(4,))
+        params = init([3, 4, 3], seed=8)
+        result = train(params, dataset, dataset, [0.5] * len(scores), config, np.random.default_rng(9))
+        assert result.val_scores == scores
+        assert result.best_epoch == scores.index(max(scores))
+        assert not np.shares_memory(result.params.flat, params.flat)
 
 
 def test_train_config_rejects_non_finite_learning_rate():

@@ -48,7 +48,7 @@ from curricula.losses import (
 )
 from curricula.harness import Arm, ExperimentConfig, resolved_synth, run_experiment
 from curricula.metrics import mean_recall
-from curricula.model import TrainConfig, Workspace, init, train_epoch
+from curricula.model import ModelParams, TrainConfig, Workspace, init, train_epoch
 from curricula.scheduler import SchedulerSpec
 
 # Differences of a few hundred between scores push softmax outputs far
@@ -549,7 +549,7 @@ def sgd_runs(draw):
 def test_workspace_epochs_are_bit_equal_to_fresh_arrays(run):
     sizes, train_set, config, lambdas, seed = run
     ours = init(sizes, seed=seed)
-    reference = ours.copy()
+    reference = ModelParams(ours.layer_sizes, ours.flat)
     workspace = Workspace(ours, min(config.batch_size, len(train_set)))
     ours_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for lam in lambdas:

@@ -77,7 +77,7 @@ def _int64_ids(values) -> np.ndarray:
     return ids
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """An immutable collection of feature vectors with fine labels.
 
@@ -291,7 +291,7 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoldPartition:
     """Disjoint train/val/test id sets for one cross-validation iteration."""
 

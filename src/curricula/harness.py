@@ -44,6 +44,8 @@ def child_seed(master: int, tag: str, index: int = 0) -> int:
     """
     whole(master, "master", 0)
     whole(index, "index", 0)
+    if not isinstance(tag, str):
+        raise ValueError(f"tag must be a string, got {tag!r}")
     tag_int = int.from_bytes(tag.encode("utf8"), "little")
     ss = np.random.SeedSequence([master, index, tag_int])
     return int(ss.generate_state(1, np.uint64)[0])
@@ -221,6 +223,11 @@ class ExperimentReport:
     """Per-fold metrics for every arm, in the arm order of ``per_fold``; ``means`` derives from them."""
 
     per_fold: dict[str, list[MetricsReport]]
+
+    def __post_init__(self) -> None:
+        empty = [name for name, reports in self.per_fold.items() if not reports]
+        if not self.per_fold or empty:
+            raise ValueError(f"arm {empty[0]!r} has no folds" if empty else "a report needs at least one arm")
 
     @cached_property
     def means(self) -> dict[str, MetricsReport]:  # each arm's fold mean of every metric

@@ -83,35 +83,20 @@ class ModelParams:
 def init(layer_sizes, seed: int) -> ModelParams:
     """Fresh parameters: weights ~ N(0, 1/fan_in), biases zero, seeded."""
     sizes, flat, weights, _ = _layer_views(layer_sizes)
+    whole(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     for w in weights:
         w[...] = rng.standard_normal(w.shape) / np.sqrt(w.shape[1])
     return ModelParams(sizes, flat)
 
 
-class Workspace:
-    """Buffers that one SGD step fills in place, for batches of up to ``rows``
-    samples: each hidden layer's activations and deltas, and each layer's
-    weight and bias gradients, which are views of one ``grads`` buffer laid
-    out like ``ModelParams.flat``. A shorter batch uses leading rows."""
-
-    def __init__(self, params: ModelParams, rows: int):
-        hidden = params.layer_sizes[1:-1]
-        self.activations = [np.empty((rows, width)) for width in hidden]
-        self.deltas = [np.empty((rows, width)) for width in hidden]
-        _, self.grads, self.weight_grads, self.bias_grads = _layer_views(params.layer_sizes)
-
-
-def _forward(params: ModelParams, x: np.ndarray, workspace: Workspace | None = None):
-    """Batch forward pass; returns final scores plus each layer's input.
-
-    The hidden layers go into ``workspace``'s activation buffers, or into
-    fresh arrays without one.
-    """
+def _forward(params: ModelParams, x: np.ndarray):
+    """Batch forward pass; returns final scores plus each layer's input, each
+    hidden layer in a fresh array."""
     activations = [x]
     h = x
-    for l, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
-        h = np.matmul(h, w.T, out=None if workspace is None else workspace.activations[l][: len(x)])
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        h = h @ w.T
         h += b
         np.maximum(h, 0.0, out=h)
         activations.append(h)
@@ -133,25 +118,23 @@ def predict_proba_batch(params: ModelParams, features: np.ndarray) -> np.ndarray
     return probs
 
 
-def _backward(params: ModelParams, score_grad: np.ndarray, activations, workspace: Workspace):
-    """Gradients of the batch loss w.r.t. every weight and bias, as ``workspace``'s
-    gradient lists. ``score_grad`` is d(loss)/d(scores) for the whole batch,
-    already scaled by 1/batch_size. The rectifier mask is ``max(z, 0) > 0``,
-    which holds exactly where ``z > 0``, so each hidden activation is overwritten
-    with its mask, as 1.0/0.0, once its layer's weight gradient is taken. The
-    batch, ``activations[0]``, is never written.
+def _backward(params: ModelParams, score_grad: np.ndarray, activations, weight_grads, bias_grads) -> None:
+    """Fill ``weight_grads`` and ``bias_grads`` with the gradients of the batch loss
+    w.r.t. every weight and bias. ``score_grad`` is d(loss)/d(scores) for the whole
+    batch, already scaled by 1/batch_size; each propagated delta is a fresh array.
+    The rectifier mask is ``max(z, 0) > 0``, which holds exactly where ``z > 0``, so
+    each hidden activation is overwritten with its mask, as 1.0/0.0, once its
+    layer's weight gradient is taken. The batch, ``activations[0]``, is never written.
     """
-    rows = len(score_grad)
     delta = score_grad
     for l in range(len(params.weights) - 1, -1, -1):
-        np.matmul(delta.T, activations[l], out=workspace.weight_grads[l])
-        np.add.reduce(delta, axis=0, out=workspace.bias_grads[l])  # ndarray.sum minus its Python wrapper
+        np.matmul(delta.T, activations[l], out=weight_grads[l])
+        np.add.reduce(delta, axis=0, out=bias_grads[l])  # ndarray.sum minus its Python wrapper
         if l > 0:
-            delta = np.matmul(delta, params.weights[l], out=workspace.deltas[l - 1][:rows])
+            delta = delta @ params.weights[l]
             # The mask as 1.0/0.0 floats: the same products as a bool mask,
             # without the cast buffer a bool operand costs.
             delta *= np.greater(activations[l], 0.0, out=activations[l])
-    return workspace.weight_grads, workspace.bias_grads
 
 
 def train_epoch(
@@ -160,30 +143,32 @@ def train_epoch(
     lam: float,
     config: TrainConfig,
     rng: np.random.Generator,
-    workspace: Workspace,
 ) -> float:
     """One shuffled pass of minibatch SGD at curriculum weight ``lam``.
 
     Updates ``params`` in place and returns the mean per-sample blended
-    loss over the epoch. Each step fills ``workspace``, which needs at
-    least ``min(batch_size, len(train_set))`` rows.
+    loss over the epoch. Each step fills the epoch's one gradient buffer,
+    laid out like ``params.flat``, and allocates its own activations and deltas.
     """
+    if train_set.feature_dim != params.layer_sizes[0]:
+        raise ValueError(f"expected an (n, {params.layer_sizes[0]}) feature matrix, got shape {train_set.features.shape}")
     n = len(train_set)
     order = rng.permutation(n)
     # One label check and one one-hot per epoch, sliced per batch; the features
     # are gathered a batch at a time, so no shuffled copy of the train set lives.
     onehot = class_onehot(train_set.labels[order])
+    _, grads, weight_grads, bias_grads = _layer_views(params.layer_sizes)
     total_loss = 0.0
     for start in range(0, n, config.batch_size):
         x = train_set.features.take(order[start : start + config.batch_size], axis=0)
-        scores, activations = _forward(params, x, workspace)
-        losses, grads = batch_combined_loss_grad(scores, onehot[start : start + config.batch_size], lam)
+        scores, activations = _forward(params, x)
+        losses, score_grad = batch_combined_loss_grad(scores, onehot[start : start + config.batch_size], lam)
         total_loss += float(np.add.reduce(losses))
-        grads /= len(x)
-        _backward(params, grads, activations, workspace)
+        score_grad /= len(x)
+        _backward(params, score_grad, activations, weight_grads, bias_grads)
         # dw * lr is the same IEEE product as lr * dw, element by element.
-        workspace.grads *= config.learning_rate
-        params.flat -= workspace.grads
+        grads *= config.learning_rate
+        params.flat -= grads
     return total_loss / n
 
 
@@ -225,11 +210,10 @@ def train(
 
     epoch_losses: list[float] = []
     val_scores: list[float] = []
-    workspace = Workspace(params, min(config.batch_size, len(train_set)))
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch, lam in enumerate(lambdas):
             try:
-                epoch_losses.append(train_epoch(params, train_set, lam, config, rng, workspace))
+                epoch_losses.append(train_epoch(params, train_set, lam, config, rng))
                 probs = predict_proba_batch(params, val_set.features)
                 score = mean_recall(np.argmax(probs, axis=1), val_set.labels)
                 if not val_scores or score > max(val_scores):

@@ -21,6 +21,7 @@ class Mutant(NamedTuple):
 
 
 MODEL = "src/curricula/model.py"
+DATA = "src/curricula/data.py"
 METRICS = "src/curricula/metrics.py"
 HARNESS = "src/curricula/harness.py"
 
@@ -54,8 +55,8 @@ MUTANTS = [
     Mutant(
         "sgd-step-ascends",
         MODEL,
-        "params.flat -= workspace.grads",
-        "params.flat += workspace.grads",
+        "params.flat -= grads",
+        "params.flat += grads",
         "killed",
         "every step climbs the loss",
     ),
@@ -67,13 +68,30 @@ MUTANTS = [
         "killed",
         "a pre-activation of exactly zero would pass gradient through the rectifier",
     ),
+    # What an epoch holds, and the arguments the model checks.
     Mutant(
-        "workspace-sized-batch-size",
+        "epoch-holds-a-shuffled-feature-copy",
         MODEL,
-        "workspace = Workspace(params, min(config.batch_size, len(train_set)))",
-        "workspace = Workspace(params, config.batch_size)",
-        "equivalent",
-        "a step uses only the leading rows of its buffers, so extra rows are never read",
+        "onehot = class_onehot(train_set.labels[order])",
+        "onehot, shuffled = class_onehot(train_set.labels[order]), train_set.features[order]",
+        "killed",
+        "the epoch holds a shuffled copy of the train features, past its allocation bound",
+    ),
+    Mutant(
+        "init-seed-from-one",
+        MODEL,
+        'whole(seed, "seed", 0)',
+        'whole(seed, "seed", 1)',
+        "killed",
+        "a seed of 0 would be refused",
+    ),
+    Mutant(
+        "train-width-unchecked",
+        MODEL,
+        "if train_set.feature_dim != params.layer_sizes[0]:",
+        "if False:",
+        "killed",
+        "a train set of the wrong width would fail inside numpy's matmul",
     ),
     # The metrics' input rule.
     Mutant(
@@ -124,7 +142,16 @@ MUTANTS = [
         "killed",
         "float16 entries would be scored in float16, where 1 - p[0] merges nearby scores into ties",
     ),
-    # Config keys and seeds.
+    # Identity comparison of the array-holding dataclasses.
+    Mutant(
+        "dataset-compares-by-value",
+        DATA,
+        "@dataclass(frozen=True, eq=False)\nclass Dataset:",
+        "@dataclass(frozen=True)\nclass Dataset:",
+        "killed",
+        "comparing two datasets would compare arrays and raise, and a dataset would be unhashable",
+    ),
+    # Config keys, seeds and the report.
     Mutant(
         "synth-keys-from-train-config",
         HARNESS,
@@ -148,6 +175,22 @@ MUTANTS = [
         'whole(index, "index", 1)',
         "killed",
         "the first fold's index, 0, would be refused",
+    ),
+    Mutant(
+        "tag-unchecked",
+        HARNESS,
+        "if not isinstance(tag, str):",
+        "if False:",
+        "killed",
+        "a tag that is not a string would fail with an AttributeError from its encode call",
+    ),
+    Mutant(
+        "report-accepts-empty-arms",
+        HARNESS,
+        "if not self.per_fold or empty:",
+        "if False:",
+        "killed",
+        "a report with no arm, or an arm with no folds, would fail only when rendered or averaged",
     ),
     Mutant(
         "report-mark-at-least-max",

@@ -111,7 +111,7 @@ def test_criterion_3_gradient_oracle():
         # full-network backprop on random small networks
         from curricula.data import class_onehot
         from curricula.losses import batch_combined_loss_grad
-        from curricula.model import Workspace, _backward, _forward
+        from curricula.model import _backward, _forward, _layer_views
 
         def batch_loss(params, x, y, lam):
             losses, _ = batch_combined_loss_grad(_forward(params, x)[0], class_onehot(y), lam)
@@ -125,7 +125,8 @@ def test_criterion_3_gradient_oracle():
             lam = float(rng.uniform())
             scores, activations = _forward(params, x)
             _, grads = batch_combined_loss_grad(scores, class_onehot(y), lam)
-            weight_grads, bias_grads = _backward(params, grads / len(y), activations, Workspace(params, len(y)))
+            _, _, weight_grads, bias_grads = _layer_views(params.layer_sizes)
+            _backward(params, grads / len(y), activations, weight_grads, bias_grads)
 
             tensors = list(zip(params.weights, weight_grads)) + list(
                 zip(params.biases, bias_grads)

@@ -92,9 +92,11 @@ class TestChildSeed:
             ((-1, "x"), "master must be at least 0, got -1"),
             ((1, "x", 2.7), "index must be an integer, got 2.7"),
             ((1, "x", -1), "index must be at least 0, got -1"),
+            ((1, 5), "tag must be a string, got 5"),
+            ((1, b"x"), "tag must be a string, got b'x'"),
         ],
     )
-    def test_master_and_index_are_whole_numbers(self, args, message):
+    def test_master_and_index_are_whole_numbers_and_the_tag_a_string(self, args, message):
         with pytest.raises(ValueError) as excinfo:
             child_seed(*args)
         assert str(excinfo.value) == message
@@ -660,6 +662,20 @@ class TestRunExperiment:
         assert [f.name for f in dataclasses.fields(ExperimentReport)] == ["per_fold"]
         with pytest.raises(TypeError):
             ExperimentReport(per_fold={"a": folds}, means={"a": folds[0]})
+
+    def test_a_report_needs_an_arm_and_a_fold_for_each(self):
+        from curricula.harness import ExperimentReport
+        from curricula.metrics import MetricsReport
+
+        fold = MetricsReport(0.25, 0.5, 0.75, 1.0, 0.0)
+        for per_fold, message in (
+            ({}, "a report needs at least one arm"),
+            ({"a": []}, "arm 'a' has no folds"),
+            ({"a": [fold], "b": [], "c": []}, "arm 'b' has no folds"),
+        ):
+            with pytest.raises(ValueError) as excinfo:
+                ExperimentReport(per_fold)
+            assert str(excinfo.value) == message
 
     def test_deterministic_reports(self, small_config, tmp_path):
         config = parse_config(small_config)

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 from curricula import losses as losses_mod
 from curricula import model as model_mod
-from curricula.data import Dataset, SynthConfig, class_onehot, generate_synthetic
+from curricula.data import Dataset, FoldPartition, SynthConfig, class_onehot, generate_synthetic
 from curricula.losses import batch_combined_loss_grad, combined_loss, combined_loss_grad, softmax
 from curricula.metrics import accuracy
 from curricula.model import (
     ModelParams,
     TrainConfig,
-    Workspace,
     init,
     predict_proba_batch,
     train,
@@ -70,6 +69,14 @@ def test_params_validation():
         init((2, -1, 3), 0)
     with pytest.raises(ValueError, match="^final layer must have width 3, got 5$"):
         init((2, 4, 5), 0)
+    for seed, message in (
+        (-1, "seed must be at least 0, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+    ):
+        with pytest.raises(ValueError) as excinfo:
+            init((2, 4, 3), seed)
+        assert str(excinfo.value) == message
     with pytest.raises(ValueError, match=r"^layer sizes \(2, 3\) need a flat buffer of 9 parameters, got shape \(8,\)$"):
         ModelParams((2, 3), np.zeros(8))
     with pytest.raises(ValueError, match=r"got shape \(9, 1\)$"):
@@ -103,17 +110,27 @@ def test_params_live_in_one_flat_buffer_and_copies_are_independent():
     assert copy.flat[0] == -5.0 and copy.flat[-1] == 34.0
 
 
-def test_params_compare_by_identity():
+def test_array_holding_classes_compare_and_hash_by_identity():
+    # An array-valued field comparison would raise, and an array field is unhashable.
     params = init([2, 4, 3], seed=0)
-    assert params == params and params != ModelParams(params.layer_sizes, params.flat)  # an array-valued field comparison would raise
+    dataset = tiny_dataset(np.random.default_rng(0), n=4)
+    partition = FoldPartition(0, [0, 1], [2], [3])
+    for make in (
+        lambda: ModelParams(params.layer_sizes, params.flat),
+        lambda: Dataset(dataset.features, dataset.labels, dataset.ids),
+        lambda: FoldPartition(0, partition.train_ids, partition.val_ids, partition.test_ids),
+    ):
+        a, b = make(), make()
+        assert a == a and a != b and a in [b, a] and a not in [b]
+        assert len({a, b, a}) == 2
 
 
-def test_workspace_gradients_live_in_one_buffer_shaped_like_the_params():
+def test_gradients_live_in_one_buffer_shaped_like_the_params():
     params = init([2, 4, 3], seed=0)
-    workspace = Workspace(params, 5)
-    assert workspace.grads.shape == params.flat.shape
-    for grad, param in zip(workspace.weight_grads + workspace.bias_grads, params.weights + params.biases):
-        assert grad.shape == param.shape and np.shares_memory(grad, workspace.grads)
+    _, grads, weight_grads, bias_grads = model_mod._layer_views(params.layer_sizes)
+    assert grads.shape == params.flat.shape and not grads.any()
+    for grad, param in zip(weight_grads + bias_grads, params.weights + params.biases):
+        assert grad.shape == param.shape and np.shares_memory(grad, grads)
 
 
 def test_zero_params_predict_uniform():
@@ -262,7 +279,7 @@ def test_single_sample_step_is_sgd():
     b_before = params.biases[0].copy()
     config = TrainConfig(learning_rate=0.1, epochs=1, batch_size=1, hidden_sizes=())
     grad = combined_loss_grad(w_before @ x + b_before, 2, 0.4)
-    mean_loss = train_epoch(params, dataset, 0.4, config, np.random.default_rng(0), Workspace(params, 1))
+    mean_loss = train_epoch(params, dataset, 0.4, config, np.random.default_rng(0))
     # the loss is taken before the step, at the initial parameters
     assert mean_loss == pytest.approx(combined_loss(softmax(w_before @ x + b_before), 2, 0.4), rel=1e-12)
     np.testing.assert_allclose(params.weights[0], w_before - 0.1 * np.outer(grad, x), atol=1e-14)
@@ -287,7 +304,8 @@ def test_backprop_matches_finite_differences():
 
             scores, activations = _forward(params, x)
             _, grads = batch_combined_loss_grad(scores, class_onehot(y), lam)
-            weight_grads, bias_grads = _backward(params, grads / len(y), activations, Workspace(params, len(y)))
+            _, _, weight_grads, bias_grads = model_mod._layer_views(params.layer_sizes)
+            _backward(params, grads / len(y), activations, weight_grads, bias_grads)
 
             step = 1e-6
             for w, dw in zip(params.weights, weight_grads):
@@ -359,7 +377,7 @@ def test_zero_weight_training_equals_plain_cross_entropy():
         ours = init(sizes, seed=11)
         reference = ModelParams(ours.layer_sizes, ours.flat)
         for _ in range(10):
-            train_epoch(ours, dataset, 0.0, config, np.random.default_rng(99), Workspace(ours, config.batch_size))
+            train_epoch(ours, dataset, 0.0, config, np.random.default_rng(99))
         for _ in range(10):
             hard_only_epoch(reference, dataset, config, np.random.default_rng(99))
 
@@ -369,28 +387,31 @@ def test_zero_weight_training_equals_plain_cross_entropy():
             np.testing.assert_array_equal(b_a, b_b)
 
 
-def test_epoch_with_a_workspace_holds_one_batch_beside_its_shuffled_labels():
+def test_an_epoch_holds_its_gradient_buffer_and_one_steps_arrays_beside_its_shuffled_labels():
     rng = np.random.default_rng(8)
     dataset = tiny_dataset(rng, n=1920, dim=32)
     config = TrainConfig(batch_size=128, hidden_sizes=(256, 256))
     params = init([32, 256, 256, 3], seed=2)
-    workspace = Workspace(params, config.batch_size)
-    train_epoch(params, dataset, 0.5, config, rng, workspace)
+    train_epoch(params, dataset, 0.5, config, rng)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        train_epoch(params, dataset, 0.5, config, rng, workspace)
+        train_epoch(params, dataset, 0.5, config, rng)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     # The epoch holds its shuffled order and labels and the labels' one-hot
-    # (8, 8 and 3 bytes a row), and gathers the features one batch at a time.
-    # Beyond those only per-step arrays may live: the 32 KiB batch, numpy's
-    # 64 KiB broadcast buffer for the bias add and small ones, 158 KiB in all
-    # with numpy 2.4. A shuffled copy of the features (480 KiB), or one
-    # 128 x 256 float64 temporary (256 KiB), breaks the bound.
-    per_epoch = len(dataset) * (8 + 8 + 3)
-    assert peak < per_epoch + 160 * 1024, (peak, per_epoch)
+    # (8, 8 and 3 bytes a row) and one gradient buffer laid out like the
+    # parameters (8 bytes each), and gathers the features one batch at a time.
+    # A step allocates its hidden activations and deltas, two 128 x 256
+    # float64 arrays per hidden layer. Beyond those only small arrays may
+    # live: the 32 KiB batch, numpy's 64 KiB broadcast buffer for the bias add
+    # and small ones, under 160 KiB with numpy 2.4. A shuffled copy of the
+    # features (480 KiB), or one more 128 x 256 float64 array held through a
+    # step (256 KiB), breaks the bound.
+    per_epoch = len(dataset) * (8 + 8 + 3) + params.flat.nbytes
+    per_step = sum(2 * config.batch_size * width * 8 for width in config.hidden_sizes)
+    assert peak < per_epoch + per_step + 160 * 1024, (peak, per_epoch, per_step)
 
 
 def test_an_epoch_checks_its_labels_once(monkeypatch):
@@ -411,7 +432,7 @@ def test_an_epoch_checks_its_labels_once(monkeypatch):
     dataset = tiny_dataset(np.random.default_rng(9), n=35 * 8 - 3)
     config = TrainConfig(batch_size=8, hidden_sizes=(4,))
     params = init([3, 4, 3], seed=1)
-    train_epoch(params, dataset, 0.5, config, np.random.default_rng(2), Workspace(params, 8))
+    train_epoch(params, dataset, 0.5, config, np.random.default_rng(2))
     assert batches == [8] * 34 + [5]
     assert checked == [len(dataset)]
 
@@ -528,6 +549,19 @@ def test_train_config_rejects_non_integer_sizes(kwargs, message):
     assert str(excinfo.value) == message
 
 
+def test_training_checks_the_feature_width():
+    dataset = tiny_dataset(np.random.default_rng(7), n=30, dim=2)
+    config = TrainConfig(epochs=1, batch_size=8, hidden_sizes=(4,))
+    params = init((3, 4, 3), 0)
+    message = "expected an (n, 3) feature matrix, got shape (30, 2)"
+    with pytest.raises(ValueError) as excinfo:
+        train_epoch(params, dataset, 0.5, config, np.random.default_rng(0))
+    assert str(excinfo.value) == message
+    with pytest.raises(ValueError) as excinfo:
+        train(params, dataset, dataset, [0.5], config, np.random.default_rng(0))
+    assert str(excinfo.value) == f"epoch 0: {message}"
+
+
 def test_train_rejects_mismatched_lambdas():
     rng = np.random.default_rng(7)
     dataset = tiny_dataset(rng, n=12)
@@ -547,7 +581,7 @@ def test_divergence_names_the_epoch():
     with np.errstate(over="ignore", invalid="ignore"):
         for first_bad in range(config.epochs):
             try:
-                train_epoch(params, dataset, 0.5, config, shuffle, Workspace(params, config.batch_size))
+                train_epoch(params, dataset, 0.5, config, shuffle)
             except ValueError as e:
                 assert str(e) == "scores must be finite"
                 break

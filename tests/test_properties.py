@@ -6,8 +6,8 @@ generic reductions, and ``Dataset.subset`` must slice exactly what a plain
 id->row dict lookup would. The CSV writers must write the same bytes as
 ``csv.writer`` row by row, ``load_csv`` must load what a row-by-row
 ``csv.reader`` loader loads, or fail with its message, and
-``stratified_kfold`` must keep its fold contract for any class counts. An SGD epoch that fills a reused workspace must be bit-equal to one that
-allocates fresh arrays at every step, and ``mean_recall`` to a per-class loop.
+``stratified_kfold`` must keep its fold contract for any class counts. ``train_epoch`` must be bit-equal to a
+frozen epoch that allocates every array afresh, and ``mean_recall`` to a per-class loop.
 A run on a CSV must not depend on the order of its rows.
 """
 
@@ -48,7 +48,7 @@ from curricula.losses import (
 )
 from curricula.harness import Arm, ExperimentConfig, resolved_synth, run_experiment
 from curricula.metrics import mean_recall
-from curricula.model import ModelParams, TrainConfig, Workspace, init, train_epoch
+from curricula.model import ModelParams, TrainConfig, init, train_epoch
 from curricula.scheduler import SchedulerSpec
 
 # Differences of a few hundred between scores push softmax outputs far
@@ -496,7 +496,7 @@ def test_mean_recall_is_bit_equal_to_the_per_class_loop(n, present, seed):
 
 def fresh_array_epoch(params, train_set, lam, config, rng):
     """The SGD epoch with fresh arrays for every step's activations, deltas,
-    gradients and update: the oracle a workspace epoch must match bit for bit."""
+    gradients and update: the frozen oracle ``train_epoch`` must match bit for bit."""
     n = len(train_set)
     order = rng.permutation(n)
     features = train_set.features[order]
@@ -546,14 +546,13 @@ def sgd_runs(draw):
 
 @settings(deadline=None)
 @given(sgd_runs())
-def test_workspace_epochs_are_bit_equal_to_fresh_arrays(run):
+def test_train_epoch_is_bit_equal_to_the_fresh_array_oracle(run):
     sizes, train_set, config, lambdas, seed = run
     ours = init(sizes, seed=seed)
     reference = ModelParams(ours.layer_sizes, ours.flat)
-    workspace = Workspace(ours, min(config.batch_size, len(train_set)))
     ours_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for lam in lambdas:
-        ours_loss = train_epoch(ours, train_set, lam, config, ours_rng, workspace)
+        ours_loss = train_epoch(ours, train_set, lam, config, ours_rng)
         assert ours_loss == fresh_array_epoch(reference, train_set, lam, config, reference_rng)
     for a, b in zip(ours.weights + ours.biases, reference.weights + reference.biases):
         np.testing.assert_array_equal(a, b)

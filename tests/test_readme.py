@@ -18,7 +18,6 @@ NOT_IN_ALL = {
     **{kind: "a scheduler kind, a value of SchedulerSpec.kind" for kind in KINDS},
     "weights": "an attribute of ModelParams",
     "biases": "an attribute of ModelParams",
-    "Workspace": "model.Workspace, the buffers a train_epoch caller supplies",
     "resolved_seeds": "harness.resolved_seeds, documented with the command line",
 }
 

@@ -46,7 +46,7 @@ class ParseError(ValueError):
     """A data file that does not match the documented format."""
 
 
-def class_onehot(labels: np.ndarray) -> np.ndarray:
+def _class_onehot(labels: np.ndarray) -> np.ndarray:
     """The (n, 3) bool one-hot of the 1-D ``labels``; raises unless each is 0, 1 or 2.
 
     One comparison serves every dtype: -1, 3, 255, 1.5 and NaN match no class,
@@ -114,7 +114,7 @@ class Dataset:
         if not np.all(np.isfinite(features)):
             raise ValueError("features must be finite")
         # The raw labels, before the cast: as int64, 1.5 would pass as 1.
-        class_onehot(labels)
+        _class_onehot(labels)
         labels = labels.astype(np.int64, copy=False)
         if _has_repeats(ids):
             raise ValueError("ids must be unique")
@@ -209,7 +209,7 @@ def load_csv(path: str | Path) -> Dataset:
     """Load a dataset from the documented ``id,label,f1,...,fd`` format."""
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             try:
                 header = [h.strip() for h in next(csv.reader(fh))]
             except StopIteration:
@@ -227,7 +227,7 @@ def load_csv(path: str | Path) -> Dataset:
                     warnings.simplefilter("always")  # numpy warns of blank chunks, and 1.x of float-like ints
                     try:
                         part = np.loadtxt(lines, record, delimiter=",", comments=None, quotechar=None, ndmin=1)
-                        class_onehot(part["label"])
+                        _class_onehot(part["label"])
                     except ValueError:
                         break
                 # numpy skips blank lines (csv: 0-column rows), reads \x1c-\x1f as spaces and has no field size limit

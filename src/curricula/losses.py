@@ -139,7 +139,7 @@ def batch_combined_loss_grad(scores: np.ndarray, onehot: np.ndarray, lam: float)
     """Vectorised per-sample losses and score gradients for a batch.
 
     ``scores`` has shape (n, 3) and ``onehot`` is the bool (n, 3) one-hot
-    from ``data.class_onehot``, whose contract is one mark per row (a check
+    from ``data._class_onehot``, whose contract is one mark per row (a check
     here would cost a reduction per batch). Returns the per-sample blended
     losses (n,) and gradients (n, 3); every step computes the hard ones, and
     ``lam == 0`` returns them. A call raises ``ValueError`` unless ``lam``

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import CLASSES, class_onehot
+from .data import CLASSES, _class_onehot
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def _check_inputs(probs, labels, every_class: bool = False) -> tuple[np.ndarray,
     if not np.all((p >= 0.0) & (p <= 1.0)):  # NaN and inf fail it too; the message says which
         raise ValueError("probabilities must lie in [0, 1]" if np.isfinite(p).all() else "probabilities must be finite")
     # The raw labels, before any cast: as int64, 1.5 would pass as 1.
-    present = class_onehot(y).any(axis=0)
+    present = _class_onehot(y).any(axis=0)
     if every_class and not present.all():
         raise ValueError(f"class {int(np.argmin(present))} is absent from labels")
     return p.astype(np.float64, copy=False), y.astype(np.int64, copy=False)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._checks import real, whole, wholes
-from .data import CLASSES, Dataset, class_onehot
+from .data import CLASSES, Dataset, _class_onehot
 from .losses import batch_combined_loss_grad, softmax
 from .metrics import mean_recall
 
@@ -121,20 +121,20 @@ def predict_proba_batch(params: ModelParams, features: np.ndarray) -> np.ndarray
 def _backward(params: ModelParams, score_grad: np.ndarray, activations, weight_grads, bias_grads) -> None:
     """Fill ``weight_grads`` and ``bias_grads`` with the gradients of the batch loss
     w.r.t. every weight and bias. ``score_grad`` is d(loss)/d(scores) for the whole
-    batch, already scaled by 1/batch_size; each propagated delta is a fresh array.
-    The rectifier mask is ``max(z, 0) > 0``, which holds exactly where ``z > 0``, so
-    each hidden activation is overwritten with its mask, as 1.0/0.0, once its
-    layer's weight gradient is taken. The batch, ``activations[0]``, is never written.
+    batch, already scaled by 1/batch_size. ``activations`` is consumed: each layer's
+    input is popped, its weight gradient taken, and for a hidden layer the propagated
+    delta is written over it, masked by ``max(z, 0) > 0`` (exactly where ``z > 0``).
+    The batch, ``activations[0]``, is never written.
     """
     delta = score_grad
     for l in range(len(params.weights) - 1, -1, -1):
-        np.matmul(delta.T, activations[l], out=weight_grads[l])
+        activation = activations.pop()
+        np.matmul(delta.T, activation, out=weight_grads[l])
         np.add.reduce(delta, axis=0, out=bias_grads[l])  # ndarray.sum minus its Python wrapper
         if l > 0:
-            delta = delta @ params.weights[l]
-            # The mask as 1.0/0.0 floats: the same products as a bool mask,
-            # without the cast buffer a bool operand costs.
-            delta *= np.greater(activations[l], 0.0, out=activations[l])
+            mask = activation > 0.0
+            delta = np.matmul(delta, params.weights[l], out=activation)
+            delta *= mask
 
 
 def train_epoch(
@@ -147,8 +147,8 @@ def train_epoch(
     """One shuffled pass of minibatch SGD at curriculum weight ``lam``.
 
     Updates ``params`` in place and returns the mean per-sample blended
-    loss over the epoch. Each step fills the epoch's one gradient buffer,
-    laid out like ``params.flat``, and allocates its own activations and deltas.
+    loss over the epoch. Each step fills the epoch's one gradient buffer, laid out
+    like ``params.flat``; ``_backward`` writes its deltas over its activations.
     """
     if train_set.feature_dim != params.layer_sizes[0]:
         raise ValueError(f"expected an (n, {params.layer_sizes[0]}) feature matrix, got shape {train_set.features.shape}")
@@ -156,7 +156,7 @@ def train_epoch(
     order = rng.permutation(n)
     # One label check and one one-hot per epoch, sliced per batch; the features
     # are gathered a batch at a time, so no shuffled copy of the train set lives.
-    onehot = class_onehot(train_set.labels[order])
+    onehot = _class_onehot(train_set.labels[order])
     _, grads, weight_grads, bias_grads = _layer_views(params.layer_sizes)
     total_loss = 0.0
     for start in range(0, n, config.batch_size):

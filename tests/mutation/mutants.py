@@ -22,6 +22,7 @@ class Mutant(NamedTuple):
 
 MODEL = "src/curricula/model.py"
 DATA = "src/curricula/data.py"
+LOSSES = "src/curricula/losses.py"
 METRICS = "src/curricula/metrics.py"
 HARNESS = "src/curricula/harness.py"
 
@@ -63,17 +64,42 @@ MUTANTS = [
     Mutant(
         "mask-passes-zero",
         MODEL,
-        "delta *= np.greater(activations[l], 0.0, out=activations[l])",
-        "delta *= np.greater_equal(activations[l], 0.0, out=activations[l])",
+        "mask = activation > 0.0",
+        "mask = activation >= 0.0",
         "killed",
         "a pre-activation of exactly zero would pass gradient through the rectifier",
+    ),
+    Mutant(
+        "mask-after-overwrite",
+        MODEL,
+        "mask = activation > 0.0\n            delta = np.matmul(delta, params.weights[l], out=activation)",
+        "delta = np.matmul(delta, params.weights[l], out=activation)\n            mask = activation > 0.0",
+        "killed",
+        "the mask would be read from the unmasked delta, not from the activation it overwrote",
+    ),
+    # What a step holds: the backward pass consumes its activations.
+    Mutant(
+        "backward-keeps-activations",
+        MODEL,
+        "activation = activations.pop()",
+        "activation = activations[l]",
+        "killed",
+        "a step's activations live on into the next step's forward pass, past the epoch's allocation bound",
+    ),
+    Mutant(
+        "delta-into-fresh-array",
+        MODEL,
+        "delta = np.matmul(delta, params.weights[l], out=activation)",
+        "delta = np.matmul(delta, params.weights[l])",
+        "killed",
+        "each hidden layer's delta takes a fresh array beside its activation, past the epoch's allocation bound",
     ),
     # What an epoch holds, and the arguments the model checks.
     Mutant(
         "epoch-holds-a-shuffled-feature-copy",
         MODEL,
-        "onehot = class_onehot(train_set.labels[order])",
-        "onehot, shuffled = class_onehot(train_set.labels[order]), train_set.features[order]",
+        "onehot = _class_onehot(train_set.labels[order])",
+        "onehot, shuffled = _class_onehot(train_set.labels[order]), train_set.features[order]",
         "killed",
         "the epoch holds a shuffled copy of the train features, past its allocation bound",
     ),
@@ -92,6 +118,63 @@ MUTANTS = [
         "if False:",
         "killed",
         "a train set of the wrong width would fail inside numpy's matmul",
+    ),
+    # The batch loss kernel and the softmax.
+    Mutant(
+        "easy-loss-sign",
+        LOSSES,
+        "losses *= -lam",
+        "losses *= lam",
+        "killed",
+        "the easy half would subtract its negative log instead of adding it",
+    ),
+    Mutant(
+        "easy-loss-label-column",
+        LOSSES,
+        "np.copyto(losses, p0, where=onehot[:, 0])",
+        "np.copyto(losses, p0, where=onehot[:, 1])",
+        "killed",
+        "label 1, not label 0, would take p0 as its coarse probability",
+    ),
+    Mutant(
+        "easy-grad-label-column",
+        LOSSES,
+        "np.copyto(grad_easy, grads, where=onehot[:, :1])",
+        "np.copyto(grad_easy, grads, where=onehot[:, 1:2])",
+        "killed",
+        "label 1, not label 0, would take the hard gradient as its easy one",
+    ),
+    Mutant(
+        "hard-loss-unclamped-above",
+        LOSSES,
+        "np.minimum(np.maximum(hard, PROB_FLOOR, out=hard), 1.0 - PROB_FLOOR, out=hard)",
+        "np.maximum(hard, PROB_FLOOR, out=hard)",
+        "killed",
+        "a probability that rounds to 1 would give a hard loss of 0, not -log(1 - 1e-12)",
+    ),
+    Mutant(
+        "easy-ratio-unclamped",
+        LOSSES,
+        "ratio = p0 / np.maximum(losses, PROB_FLOOR)",
+        "ratio = p0 / losses",
+        "killed",
+        "a p0 that rounds to 1 would divide by zero and give a non-finite easy gradient",
+    ),
+    Mutant(
+        "softmax-third-column",
+        LOSSES,
+        "total += e[..., 2]",
+        "total += e[..., 1]",
+        "killed",
+        "the normaliser would count the second class twice and the third not at all",
+    ),
+    Mutant(
+        "no-lambda-zero-branch",
+        LOSSES,
+        "if lam == 0.0:",
+        "if False:",
+        "equivalent",
+        "at lam = 0 the blended form adds +0.0 to each loss and a signed zero to each gradient, so its bits are the hard ones",
     ),
     # The metrics' input rule.
     Mutant(

@@ -109,12 +109,12 @@ def test_criterion_3_gradient_oracle():
             assert _relative_error(analytic, fd) < 1e-4
 
         # full-network backprop on random small networks
-        from curricula.data import class_onehot
+        from curricula.data import _class_onehot
         from curricula.losses import batch_combined_loss_grad
         from curricula.model import _backward, _forward, _layer_views
 
         def batch_loss(params, x, y, lam):
-            losses, _ = batch_combined_loss_grad(_forward(params, x)[0], class_onehot(y), lam)
+            losses, _ = batch_combined_loss_grad(_forward(params, x)[0], _class_onehot(y), lam)
             return float(losses.mean())
 
         checks = 0
@@ -124,7 +124,7 @@ def test_criterion_3_gradient_oracle():
             y = rng.integers(3, size=4)
             lam = float(rng.uniform())
             scores, activations = _forward(params, x)
-            _, grads = batch_combined_loss_grad(scores, class_onehot(y), lam)
+            _, grads = batch_combined_loss_grad(scores, _class_onehot(y), lam)
             _, _, weight_grads, bias_grads = _layer_views(params.layer_sizes)
             _backward(params, grads / len(y), activations, weight_grads, bias_grads)
 

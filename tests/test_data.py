@@ -17,7 +17,7 @@ from curricula.data import (
     ParseError,
     SynthConfig,
     class_means,
-    class_onehot,
+    _class_onehot,
     generate_synthetic,
     load_csv,
     stratified_kfold,
@@ -114,8 +114,8 @@ class TestDataset:
             np.array([0.0, np.nan, 2.0]),
         ):
             with pytest.raises(ValueError, match="^labels must be 0, 1, or 2$"):
-                class_onehot(labels)
-        onehot = class_onehot(np.array([True, False, True]))
+                _class_onehot(labels)
+        onehot = _class_onehot(np.array([True, False, True]))
         assert onehot.dtype == bool
         np.testing.assert_array_equal(onehot, [[0, 1, 0], [1, 0, 0], [0, 1, 0]])
 
@@ -456,6 +456,16 @@ class TestCsv:
             load_csv(path)
         assert str(caught.value) == f"{path}: not UTF-8: can't decode byte 0xff: invalid start byte"
         assert len(calls) > 10  # the rows before it went through numpy, chunk by chunk
+
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts with one
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_csv(synth(counts=(5, 6, 7)), plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want, got = load_csv(plain), load_csv(marked)
+        for field in ("features", "labels", "ids"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+            assert getattr(got, field).dtype == getattr(want, field).dtype
 
 
 def proportional_within_one(count, expected):

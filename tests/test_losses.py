@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from curricula.data import class_onehot
+from curricula.data import _class_onehot
 from curricula.losses import (
     PROB_FLOOR,
     batch_combined_loss_grad,
@@ -226,20 +226,20 @@ def test_batch_matches_scalar_ops():
     scores = rng.normal(scale=2.0, size=(64, 3))
     labels = rng.integers(3, size=64)
     lam = 0.37
-    losses, grads = batch_combined_loss_grad(scores, class_onehot(labels), lam)
+    losses, grads = batch_combined_loss_grad(scores, _class_onehot(labels), lam)
     for i in range(64):
         assert losses[i] == combined_loss(softmax(scores[i]), int(labels[i]), lam)
         np.testing.assert_array_equal(grads[i], combined_loss_grad(scores[i], int(labels[i]), lam))
 
 
 def test_batch_input_validation():
-    onehot = class_onehot(np.array([0, 1]))
+    onehot = _class_onehot(np.array([0, 1]))
     for lam in (-0.1, 1.1):
         with pytest.raises(ValueError, match=rf"^curriculum weight must lie in \[0, 1\], got {lam}$"):
             batch_combined_loss_grad(np.zeros((2, 3)), onehot, lam)
     with pytest.raises(ValueError, match="^curriculum weight must be finite, got nan$"):
         batch_combined_loss_grad(np.zeros((2, 3)), onehot, float("nan"))
-    # The labels themselves are not a one-hot: class_onehot checks and builds it.
+    # The labels themselves are not a one-hot: _class_onehot checks and builds it.
     with pytest.raises(ValueError, match=r"^expected scores and one-hot of shape \(2, 3\)"):
         batch_combined_loss_grad(np.zeros((2, 3)), np.array([0, 1]), 0.5)
     with pytest.raises(ValueError, match=r"^expected scores and one-hot of shape \(2, 3\)"):
@@ -256,8 +256,8 @@ def test_batch_input_validation():
                 scores = np.random.default_rng(3 * row + col).normal(size=(3, 3))
                 scores[row, col] = bad
                 with pytest.raises(ValueError, match="^scores must be finite$"):
-                    batch_combined_loss_grad(scores, class_onehot(np.array([0, 1, 2])), 0.5)
-    losses, grads = batch_combined_loss_grad(np.zeros((3, 3)), class_onehot(np.array([True, False, True])), 0.5)
+                    batch_combined_loss_grad(scores, _class_onehot(np.array([0, 1, 2])), 0.5)
+    losses, grads = batch_combined_loss_grad(np.zeros((3, 3)), _class_onehot(np.array([True, False, True])), 0.5)
     assert losses.shape == (3,) and grads.shape == (3, 3)
 
 

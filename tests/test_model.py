@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from curricula import losses as losses_mod
 from curricula import model as model_mod
-from curricula.data import Dataset, FoldPartition, SynthConfig, class_onehot, generate_synthetic
+from curricula.data import Dataset, FoldPartition, SynthConfig, _class_onehot, generate_synthetic
 from curricula.losses import batch_combined_loss_grad, combined_loss, combined_loss_grad, softmax
 from curricula.metrics import accuracy
 from curricula.model import (
@@ -32,7 +32,7 @@ def batch_loss(params, x, y, lam):
     """Scalar batch loss used by the finite-difference oracle."""
     from curricula.model import _forward
 
-    losses, _ = batch_combined_loss_grad(_forward(params, x)[0], class_onehot(y), lam)
+    losses, _ = batch_combined_loss_grad(_forward(params, x)[0], _class_onehot(y), lam)
     return float(losses.mean())
 
 
@@ -303,7 +303,7 @@ def test_backprop_matches_finite_differences():
             lam = float(rng.uniform())
 
             scores, activations = _forward(params, x)
-            _, grads = batch_combined_loss_grad(scores, class_onehot(y), lam)
+            _, grads = batch_combined_loss_grad(scores, _class_onehot(y), lam)
             _, _, weight_grads, bias_grads = model_mod._layer_views(params.layer_sizes)
             _backward(params, grads / len(y), activations, weight_grads, bias_grads)
 
@@ -387,7 +387,7 @@ def test_zero_weight_training_equals_plain_cross_entropy():
             np.testing.assert_array_equal(b_a, b_b)
 
 
-def test_an_epoch_holds_its_gradient_buffer_and_one_steps_arrays_beside_its_shuffled_labels():
+def test_an_epoch_holds_its_gradient_buffer_and_one_array_per_hidden_layer_beside_its_shuffled_labels():
     rng = np.random.default_rng(8)
     dataset = tiny_dataset(rng, n=1920, dim=32)
     config = TrainConfig(batch_size=128, hidden_sizes=(256, 256))
@@ -403,14 +403,15 @@ def test_an_epoch_holds_its_gradient_buffer_and_one_steps_arrays_beside_its_shuf
     # The epoch holds its shuffled order and labels and the labels' one-hot
     # (8, 8 and 3 bytes a row) and one gradient buffer laid out like the
     # parameters (8 bytes each), and gathers the features one batch at a time.
-    # A step allocates its hidden activations and deltas, two 128 x 256
-    # float64 arrays per hidden layer. Beyond those only small arrays may
-    # live: the 32 KiB batch, numpy's 64 KiB broadcast buffer for the bias add
-    # and small ones, under 160 KiB with numpy 2.4. A shuffled copy of the
-    # features (480 KiB), or one more 128 x 256 float64 array held through a
-    # step (256 KiB), breaks the bound.
+    # A step allocates one 128 x 256 float64 activation per hidden layer, and
+    # the backward pass pops each and writes its delta over it, so nothing of
+    # a step overlaps the next. Beyond those only small arrays may live: the
+    # 32 KiB batch, a 32 KiB bool mask, numpy's 64 KiB broadcast buffer for
+    # the bias add and small ones, under 160 KiB with numpy 2.4. A shuffled
+    # copy of the features (480 KiB), a delta in a fresh array (256 KiB), or
+    # a step's activations held into the next step's forward pass breaks the bound.
     per_epoch = len(dataset) * (8 + 8 + 3) + params.flat.nbytes
-    per_step = sum(2 * config.batch_size * width * 8 for width in config.hidden_sizes)
+    per_step = sum(config.batch_size * width * 8 for width in config.hidden_sizes)
     assert peak < per_epoch + per_step + 160 * 1024, (peak, per_epoch, per_step)
 
 
@@ -419,7 +420,7 @@ def test_an_epoch_checks_its_labels_once(monkeypatch):
 
     def counted_onehot(labels):
         checked.append(len(labels))
-        return class_onehot(labels)
+        return _class_onehot(labels)
 
     def counted_kernel(scores, onehot, lam):
         batches.append(len(onehot))
@@ -427,7 +428,7 @@ def test_an_epoch_checks_its_labels_once(monkeypatch):
 
     # each module that could check a batch's labels, whether or not it binds the name
     for module in (losses_mod, model_mod):
-        monkeypatch.setattr(module, "class_onehot", counted_onehot, raising=False)
+        monkeypatch.setattr(module, "_class_onehot", counted_onehot, raising=False)
     monkeypatch.setattr(model_mod, "batch_combined_loss_grad", counted_kernel)
     dataset = tiny_dataset(np.random.default_rng(9), n=35 * 8 - 3)
     config = TrainConfig(batch_size=8, hidden_sizes=(4,))

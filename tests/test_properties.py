@@ -31,7 +31,7 @@ from curricula.data import (
     Dataset,
     FoldPartition,
     ParseError,
-    class_onehot,
+    _class_onehot,
     SynthConfig,
     generate_synthetic,
     load_csv,
@@ -72,7 +72,7 @@ def batches(draw):
 
 
 def assert_bit_equal_to_scalar(scores, labels, lam):
-    losses, grads = batch_combined_loss_grad(scores, class_onehot(labels), lam)
+    losses, grads = batch_combined_loss_grad(scores, _class_onehot(labels), lam)
     assert losses.shape == (len(labels),) and grads.shape == (len(labels), 3)
     for i in range(len(labels)):
         y = int(labels[i])
@@ -159,7 +159,7 @@ def test_out_of_range_integer_labels_raise(dtype, n, data):
     labels = np.zeros(n, dtype=dtype)
     labels[data.draw(st.integers(0, n - 1))] = bad
     with pytest.raises(ValueError, match="labels must be 0, 1, or 2"):
-        class_onehot(labels)
+        _class_onehot(labels)
 
 
 def assert_same_onehot(got, want):
@@ -168,23 +168,23 @@ def assert_same_onehot(got, want):
 
 
 def test_integer_labels_of_any_width_are_accepted():
-    want = class_onehot(np.array([0, 1, 2, 2, 1, 0]))
+    want = _class_onehot(np.array([0, 1, 2, 2, 1, 0]))
     np.testing.assert_array_equal(want, np.eye(3, dtype=bool)[[0, 1, 2, 2, 1, 0]])
     for dtype in (np.int8, np.int32, np.uint8, np.uint64):
-        assert_same_onehot(class_onehot(np.array([0, 1, 2, 2, 1, 0], dtype=dtype)), want)
+        assert_same_onehot(_class_onehot(np.array([0, 1, 2, 2, 1, 0], dtype=dtype)), want)
 
 
 def test_float_labels_must_be_whole_class_numbers():
     with pytest.raises(ValueError, match="labels must be 0, 1, or 2"):
-        class_onehot(np.array([0.0, 1.5, 2.0]))
+        _class_onehot(np.array([0.0, 1.5, 2.0]))
     with pytest.raises(ValueError, match="labels must be 0, 1, or 2"):
-        class_onehot(np.array([0.0, np.nan, 2.0]))
-    assert_same_onehot(class_onehot(np.array([0.0, 1.0, 2.0])), class_onehot(np.array([0, 1, 2])))
+        _class_onehot(np.array([0.0, np.nan, 2.0]))
+    assert_same_onehot(_class_onehot(np.array([0.0, 1.0, 2.0])), _class_onehot(np.array([0, 1, 2])))
 
 
 def test_bool_labels_are_accepted_as_zero_and_one():
-    got = class_onehot(np.array([True, False, True, False]))
-    assert_same_onehot(got, class_onehot(np.array([1, 0, 1, 0])))
+    got = _class_onehot(np.array([True, False, True, False]))
+    assert_same_onehot(got, _class_onehot(np.array([1, 0, 1, 0])))
 
 
 @settings(deadline=None)
@@ -193,11 +193,11 @@ def test_a_single_non_finite_score_is_rejected(batch, bad, data):
     scores, labels = batch
     scores[data.draw(st.integers(0, len(labels) - 1)), data.draw(st.integers(0, 2))] = bad
     with pytest.raises(ValueError, match="^scores must be finite$"):
-        batch_combined_loss_grad(scores, class_onehot(labels), 0.5)
+        batch_combined_loss_grad(scores, _class_onehot(labels), 0.5)
 
 
 def test_empty_batch_gives_empty_outputs():
-    losses, grads = batch_combined_loss_grad(np.zeros((0, 3)), class_onehot(np.array([], dtype=np.int64)), 0.5)
+    losses, grads = batch_combined_loss_grad(np.zeros((0, 3)), _class_onehot(np.array([], dtype=np.int64)), 0.5)
     assert losses.shape == (0,) and grads.shape == (0, 3)
 
 
@@ -511,7 +511,7 @@ def fresh_array_epoch(params, train_set, lam, config, rng):
             h = np.maximum(h @ w.T + b, 0.0)
             activations.append(h)
         scores = h @ params.weights[-1].T + params.biases[-1]
-        losses, grads = batch_combined_loss_grad(scores, class_onehot(y), lam)
+        losses, grads = batch_combined_loss_grad(scores, _class_onehot(y), lam)
         total_loss += float(losses.sum())
         delta = grads / len(y)
         weight_grads, bias_grads = [None] * len(params.weights), [None] * len(params.biases)

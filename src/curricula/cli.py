@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .data import generate_synthetic, stratified_kfold, write_csv, write_partitions_csv
 from .harness import build_dataset, parse_config, render_report, resolved_seeds, resolved_synth, run_experiment
@@ -19,20 +17,10 @@ def _load_config(args):
     return config
 
 
-def _resolve_out_dir(cli_out: str | None, config_out: Path) -> Path:
-    # CLI flag wins over the environment variable, which wins over the config.
-    if cli_out is not None:
-        return Path(cli_out)
-    env_out = os.environ.get("CURRICULA_OUT")
-    if env_out:
-        return Path(env_out)
-    return config_out
-
-
 def _cmd_run(args) -> int:
     config = _load_config(args)
     report = run_experiment(config)
-    table = render_report(report, _resolve_out_dir(args.out, config.out_dir))
+    table = render_report(report, config.out_dir if args.out is None else args.out)
     print(table, end="")
     return 0
 
@@ -62,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, func, help_text, out_help in (
         ("run", _cmd_run, "run the full (arms x folds) experiment and write the report",
-         "output directory (overrides CURRICULA_OUT and the config)"),
+         "output directory (overrides the config's out_dir)"),
         ("gen-data", _cmd_gen_data, "generate the synthetic dataset as CSV", "output CSV path"),
         ("folds", _cmd_folds, "export the cross-validation partitions as CSV", "output CSV path"),
     ):

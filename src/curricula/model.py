@@ -37,6 +37,8 @@ class TrainConfig:
 def _layer_views(layer_sizes, flat: np.ndarray | None = None):
     """The checked sizes, a parameter buffer for them (``flat``, or zeros) and each layer's
     weight and bias as views of it: layer by layer, the weights (row-major), then the biases."""
+    if any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) for s in layer_sizes):
+        raise ValueError(f"layer sizes must be integers, got {layer_sizes!r}")
     sizes = tuple(int(s) for s in layer_sizes)
     if len(sizes) < 2:
         raise ValueError("layer_sizes needs at least an input and an output layer")

@@ -25,6 +25,7 @@ DATA = "src/curricula/data.py"
 LOSSES = "src/curricula/losses.py"
 METRICS = "src/curricula/metrics.py"
 HARNESS = "src/curricula/harness.py"
+CLI = "src/curricula/cli.py"
 
 MUTANTS = [
     # Best-epoch selection and its snapshot.
@@ -102,6 +103,22 @@ MUTANTS = [
         "onehot, shuffled = _class_onehot(train_set.labels[order]), train_set.features[order]",
         "killed",
         "the epoch holds a shuffled copy of the train features, past its allocation bound",
+    ),
+    Mutant(
+        "layer-size-may-be-bool",
+        MODEL,
+        "if any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) for s in layer_sizes):",
+        "if any(not isinstance(s, (int, np.integer)) for s in layer_sizes):",
+        "killed",
+        "a size of True would build a layer one unit wide",
+    ),
+    Mutant(
+        "layer-size-python-int-only",
+        MODEL,
+        "not isinstance(s, (int, np.integer)) for s in layer_sizes",
+        "not isinstance(s, (int,)) for s in layer_sizes",
+        "killed",
+        "sizes passed as a numpy integer array would be refused",
     ),
     Mutant(
         "init-seed-from-one",
@@ -282,5 +299,22 @@ MUTANTS = [
         'mark = "*" if value >= col_max[m] else " "',
         "equivalent",
         "no mean exceeds its column maximum, and a report holds no NaN",
+    ),
+    # Where `curricula run` writes: --out, else the config's out_dir.
+    Mutant(
+        "run-ignores-out-flag",
+        CLI,
+        "config.out_dir if args.out is None else args.out",
+        "config.out_dir",
+        "killed",
+        "--out would be ignored and every run would write to the config's out_dir",
+    ),
+    Mutant(
+        "run-ignores-config-out-dir",
+        CLI,
+        "config.out_dir if args.out is None else args.out",
+        'args.out or "out"',
+        "killed",
+        "a run without --out would write to ./out whatever the config's out_dir says",
     ),
 ]

@@ -223,9 +223,8 @@ arms:
 """
 
 
-def test_criterion_6_end_to_end_determinism(tmp_path, monkeypatch):
+def test_criterion_6_end_to_end_determinism(tmp_path):
     with criterion(6, "two `run` executions produce byte-identical CSV reports"):
-        monkeypatch.delenv("CURRICULA_OUT", raising=False)
         config = tmp_path / "config.yaml"
         config.write_text(DETERMINISM_CONFIG)
         out_a, out_b = tmp_path / "a", tmp_path / "b"

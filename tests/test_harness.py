@@ -860,19 +860,17 @@ class TestCli:
         assert "error: seed must be at least 0, got -3" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_env_var_sets_output_dir_and_flag_wins(self, small_config, tmp_path, monkeypatch):
-        env_dir = tmp_path / "from_env"
-        monkeypatch.setenv("CURRICULA_OUT", str(env_dir))
-        assert cli.main(["run", "--config", str(small_config)]) == 0
-        assert (env_dir / "means.csv").exists()
-
-        flag_dir = tmp_path / "from_flag"
-        assert cli.main(["run", "--config", str(small_config), "--out", str(flag_dir)]) == 0
-        assert (flag_dir / "means.csv").exists()
-
-    def test_without_flag_or_env_var_the_config_sets_output_dir(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("CURRICULA_OUT", raising=False)
+    def test_out_flag_wins_over_the_config_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, f"out_dir: {tmp_path / 'from_config'}\n{SMALL_CONFIG}")
+        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "from_flag")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "from_flag"]
+        assert sorted(p.name for p in (tmp_path / "from_flag").iterdir()) == ["means.csv", "per_fold.csv", "report.txt"]
+
+    def test_without_flag_the_config_sets_output_dir_whatever_curricula_out_says(self, tmp_path, monkeypatch):
+        # earlier versions read CURRICULA_OUT; it must not move the outputs
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("CURRICULA_OUT", str(tmp_path / "from_env"))
         config = write_config(tmp_path, f"out_dir: {tmp_path / 'from_config'}\n{SMALL_CONFIG}")
         assert cli.main(["run", "--config", str(config)]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "from_config"]

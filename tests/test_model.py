@@ -69,6 +69,13 @@ def test_params_validation():
         init((2, -1, 3), 0)
     with pytest.raises(ValueError, match="^final layer must have width 3, got 5$"):
         init((2, 4, 5), 0)
+    # a size is an int or a numpy integer: never truncated, coerced from a bool or parsed from a string
+    for sizes in ([2, 4.7, 3], [2, 4.0, 3], [2, True, 3], ["2", 4, 3]):
+        with pytest.raises(ValueError) as excinfo:
+            init(sizes, 0)
+        assert str(excinfo.value) == f"layer sizes must be integers, got {sizes!r}"
+    with pytest.raises(ValueError, match=r"^layer sizes must be integers, got \(2, 4\.0, 3\)$"):
+        ModelParams((2, 4.0, 3), np.zeros(27))
     for seed, message in (
         (-1, "seed must be at least 0, got -1"),
         (1.5, "seed must be an integer, got 1.5"),

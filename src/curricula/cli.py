@@ -4,21 +4,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .data import generate_synthetic, stratified_kfold, write_csv, write_partitions_csv
 from .harness import build_dataset, parse_config, render_report, resolved_seeds, resolved_synth, run_experiment
 
 
-def _load_config(args):
-    config = parse_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    return config
-
-
 def _cmd_run(args) -> int:
-    config = _load_config(args)
+    config = parse_config(args.config)
     report = run_experiment(config)
     table = render_report(report, config.out_dir if args.out is None else args.out)
     print(table, end="")
@@ -26,7 +18,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    config = _load_config(args)
+    config = parse_config(args.config)
     if config.synth is None:
         raise ValueError("gen-data needs a config with a 'data.synthetic' section")
     write_csv(generate_synthetic(resolved_synth(config)), args.out)
@@ -34,7 +26,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_folds(args) -> int:
-    config = _load_config(args)
+    config = parse_config(args.config)
     dataset = build_dataset(config)
     partitions = stratified_kfold(dataset, config.k, config.val_fraction, resolved_seeds(config)["folds"])
     write_partitions_csv(partitions, args.out)
@@ -57,7 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the YAML experiment config")
         cmd.add_argument("--out", required=name != "run", help=out_help)
-        cmd.add_argument("--seed", type=int, help="override the master seed")
         cmd.set_defaults(func=func)
 
     return parser

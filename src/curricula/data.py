@@ -68,6 +68,8 @@ def _int64_ids(values) -> np.ndarray:
     """``values`` as int64 ids, checked before the cast: raises naming the first
     that is not a non-negative whole number in int64 range."""
     wanted = np.asarray(values)
+    if wanted.dtype == bool:  # as int64, a mask [True, False] would pass as ids [1, 0]
+        raise ValueError("ids must be numbers, not bools: a mask is not a list of ids")
     with np.errstate(invalid="ignore"):  # NaN, inf and out-of-range floats fail the round trip
         ids = wanted.astype(np.int64, copy=False)
     if (ids != wanted).any():
@@ -197,10 +199,11 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
     rng = np.random.default_rng(config.seed)
     # Each class block is drawn and shifted in place: the bits of means[c] + noise * z.
     features = np.empty((sum(config.counts), config.feature_dim))
-    for block, mean in zip(np.split(features, np.cumsum(config.counts)[:-1]), class_means(config)):
-        rng.standard_normal(out=block)
-        block *= config.noise
-        block += mean
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails as non-finite features under any filter
+        for block, mean in zip(np.split(features, np.cumsum(config.counts)[:-1]), class_means(config)):
+            rng.standard_normal(out=block)
+            block *= config.noise
+            block += mean
     labels = np.repeat(np.arange(len(CLASSES)), config.counts)
     return Dataset._adopt(features, labels, np.arange(len(labels)))
 

@@ -46,6 +46,8 @@ def child_seed(master: int, tag: str, index: int = 0) -> int:
     whole(index, "index", 0)
     if not isinstance(tag, str):
         raise ValueError(f"tag must be a string, got {tag!r}")
+    if "\x00" in tag:  # the integer drops trailing NUL bytes, so "x\x00" would give the seed of "x"
+        raise ValueError(f"tag must hold no NUL character, got {tag!r}")
     tag_int = int.from_bytes(tag.encode("utf8"), "little")
     ss = np.random.SeedSequence([master, index, tag_int])
     return int(ss.generate_state(1, np.uint64)[0])

@@ -251,6 +251,23 @@ MUTANTS = [
         "killed",
         "comparing two datasets would compare arrays and raise, and a dataset would be unhashable",
     ),
+    # The id rule and generation under any warning filter.
+    Mutant(
+        "ids-may-be-bools",
+        DATA,
+        "if wanted.dtype == bool:",
+        "if False:",
+        "killed",
+        "a mask [True, False] would pass as ids [1, 0], and a mask of repeated values would fail as repeated ids",
+    ),
+    Mutant(
+        "generation-warns-on-overflow",
+        DATA,
+        'with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails',
+        "with np.errstate():  # an overflow fails",
+        "killed",
+        "an overflowing noise would print numpy's warning, and fail with it under -W error, before the features check",
+    ),
     # Config keys, seeds and the report.
     Mutant(
         "synth-keys-from-train-config",
@@ -283,6 +300,14 @@ MUTANTS = [
         "if False:",
         "killed",
         "a tag that is not a string would fail with an AttributeError from its encode call",
+    ),
+    Mutant(
+        "tag-may-hold-nul",
+        HARNESS,
+        'if "\\x00" in tag:',
+        "if False:",
+        "killed",
+        'a tag "init\\x00" would give the seed of "init"',
     ),
     Mutant(
         "report-accepts-empty-arms",

@@ -73,6 +73,9 @@ class TestDataset:
             ids_of(np.array([1.0, -1.0]))
         with pytest.raises(ValueError, match="^ids must be non-negative, got -1$"):
             ids_of(np.array([1, -1]))
+        # As int64, a mask [True, False] would be read as ids [1, 0].
+        with pytest.raises(ValueError, match="^ids must be numbers, not bools: a mask is not a list of ids$"):
+            ids_of(np.array([True, False]))
         assert ids_of(np.array([1.0, 2.0])).tolist() == [1, 2]
 
     def test_validation(self):
@@ -255,6 +258,15 @@ class TestSynthetic:
             SynthConfig(counts=(5, 5, 5), feature_dim=1, seed=0)
         with pytest.raises(ValueError):
             generate_synthetic(SynthConfig(counts=(5, 5, 5)))  # seed unset
+
+    def test_an_overflowing_noise_fails_as_non_finite_features_under_any_warning_filter(self):
+        # noise * z overflows to inf; the error must not turn into numpy's overflow warning under -W error
+        for action in ("default", "error"):
+            with warnings.catch_warnings(record=True) as warned:
+                warnings.simplefilter(action)
+                with pytest.raises(ValueError, match="^features must be finite$"):
+                    synth(noise=1e308)
+            assert warned == []
 
     @pytest.mark.parametrize(
         "kwargs, message",

@@ -101,6 +101,13 @@ class TestChildSeed:
             child_seed(*args)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize("tag", ["init\x00", "\x00init", "in\x00it", "\x00"])
+    def test_a_tag_holding_a_nul_is_refused(self, tag):
+        # "init\x00" folds to the same integer as "init", so it would share its seed
+        with pytest.raises(ValueError) as excinfo:
+            child_seed(0, tag, 1)
+        assert str(excinfo.value) == f"tag must hold no NUL character, got {tag!r}"
+
 
 class TestParseConfig:
     def test_minimal_config_fills_defaults(self, tmp_path):
@@ -845,18 +852,27 @@ class TestCli:
         captured = capsys.readouterr()
         assert "constant_zero" in captured.out
 
-    def test_run_seed_override_changes_results(self, small_config, tmp_path):
-        out_a, out_b, out_c = (tmp_path / n for n in ("a", "b", "c"))
-        cli.main(["run", "--config", str(small_config), "--out", str(out_a), "--seed", "5"])
-        cli.main(["run", "--config", str(small_config), "--out", str(out_b), "--seed", "6"])
-        cli.main(["run", "--config", str(small_config), "--out", str(out_c)])
-        assert (out_a / "per_fold.csv").read_bytes() != (out_b / "per_fold.csv").read_bytes()
-        # config seed is 5, so an explicit --seed 5 matches the plain run
-        assert (out_a / "per_fold.csv").read_bytes() == (out_c / "per_fold.csv").read_bytes()
+    @pytest.mark.parametrize("command", ["run", "gen-data", "folds"])
+    def test_seed_flag_is_refused(self, small_config, tmp_path, command, capsys):
+        # every seed comes from the config file, so a command line cannot make the commands disagree
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([command, "--config", str(small_config), "--out", str(tmp_path / "out"), "--seed", "3"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [small_config]
 
-    def test_negative_seed_override_names_key(self, small_config, tmp_path, capsys):
+    def test_config_seed_changes_results(self, small_config, tmp_path):
+        other = write_config(tmp_path, SMALL_CONFIG.replace("seed: 5\n", "seed: 6\n"), "other.yaml")
+        for config, out in ((small_config, "a"), (other, "b"), (small_config, "c")):
+            assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / out)]) == 0
+        per_fold = {out: (tmp_path / out / "per_fold.csv").read_bytes() for out in "abc"}
+        assert per_fold["a"] != per_fold["b"]
+        assert per_fold["a"] == per_fold["c"]
+
+    def test_negative_config_seed_names_key(self, tmp_path, capsys):
+        config = write_config(tmp_path, SMALL_CONFIG.replace("seed: 5\n", "seed: -3\n"), "negative.yaml")
         out = tmp_path / "results"
-        assert cli.main(["run", "--config", str(small_config), "--out", str(out), "--seed", "-3"]) == 1
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1
         assert "error: seed must be at least 0, got -3" in capsys.readouterr().err
         assert not out.exists()
 

@@ -34,7 +34,7 @@ def real(value, name: str) -> float:
 
 
 def file_path(value, name: str) -> Path:
-    """``Path(value)``, if ``value`` is a path string or a ``Path``."""
-    if not isinstance(value, (str, Path)):
-        raise ValueError(f"{name} must be a path string, got {value!r}")
+    """``Path(value)``, if ``value`` is a non-empty path string or a ``Path``."""
+    if not isinstance(value, (str, Path)) or value == "":  # Path("") is the current directory
+        raise ValueError(f"{name} must be a non-empty path string, got {value!r}")
     return Path(value)

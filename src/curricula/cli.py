@@ -5,15 +5,15 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ._checks import file_path
 from .data import generate_synthetic, stratified_kfold, write_csv, write_partitions_csv
 from .harness import build_dataset, parse_config, render_report, resolved_seeds, resolved_synth, run_experiment
 
 
 def _cmd_run(args) -> int:
     config = parse_config(args.config)
-    report = run_experiment(config)
-    table = render_report(report, config.out_dir if args.out is None else args.out)
-    print(table, end="")
+    out_dir = config.out_dir if args.out is None else file_path(args.out, "--out")
+    print(render_report(run_experiment(config), out_dir), end="")
     return 0
 
 
@@ -21,7 +21,7 @@ def _cmd_gen_data(args) -> int:
     config = parse_config(args.config)
     if config.synth is None:
         raise ValueError("gen-data needs a config with a 'data.synthetic' section")
-    write_csv(generate_synthetic(resolved_synth(config)), args.out)
+    write_csv(generate_synthetic(resolved_synth(config)), file_path(args.out, "--out"))
     return 0
 
 
@@ -29,7 +29,7 @@ def _cmd_folds(args) -> int:
     config = parse_config(args.config)
     dataset = build_dataset(config)
     partitions = stratified_kfold(dataset, config.k, config.val_fraction, resolved_seeds(config)["folds"])
-    write_partitions_csv(partitions, args.out)
+    write_partitions_csv(partitions, file_path(args.out, "--out"))
     return 0
 
 

@@ -150,6 +150,8 @@ def _arm(value, where: str, epochs: int) -> Arm:
     name = fields.pop("name", fields["kind"])
     fields.setdefault("switch_epoch", default_switch_epoch(epochs))
     spec = _build(SchedulerSpec, fields, where, _ARM_KEYS)
+    if "exp_floor" in fields and spec.kind != "exponential":  # no other kind reads it
+        raise ConfigError(f"{where}.epsilon applies only to the exponential kind, got kind {spec.kind!r}")
     return _build(Arm, {"name": name, "spec": spec}, where, _ARM_KEYS)
 
 

@@ -138,23 +138,17 @@ def combined_loss_grad(scores, y: int, lam: float) -> np.ndarray:
 def batch_combined_loss_grad(scores: np.ndarray, onehot: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised per-sample losses and score gradients for a batch.
 
-    ``scores`` has shape (n, 3) and ``onehot`` is the bool (n, 3) one-hot
-    from ``data._class_onehot``, whose contract is one mark per row (a check
-    here would cost a reduction per batch). Returns the per-sample blended
-    losses (n,) and gradients (n, 3); every step computes the hard ones, and
-    ``lam == 0`` returns them. A call raises ``ValueError`` unless ``lam``
-    lies in [0, 1], ``scores`` is a finite array of the one-hot's (n, 3)
-    shape and the one-hot is bool with ``n`` marks. Sample i's outputs are
-    bit-equal to ``combined_loss(softmax(scores[i]), labels[i], lam)`` and
+    An internal helper that takes only what ``train_epoch`` hands it and checks
+    none of it: ``scores``, the float64 (n, 3) scores of a forward pass;
+    ``onehot``, a bool (n, 3) slice of ``data._class_onehot``, one mark per row;
+    and ``lam``, the epoch's weight, already checked to lie in [0, 1]. Returns the
+    per-sample blended losses (n,) and gradients (n, 3); every step computes the
+    hard ones, and ``lam == 0`` returns them. Non-finite scores, the sign of a
+    diverging run, fail with ``ValueError``. Sample i's outputs are bit-equal to
+    ``combined_loss(softmax(scores[i]), labels[i], lam)`` and
     ``combined_loss_grad(scores[i], labels[i], lam)``: each element goes
     through the same floating-point operations in the same order.
     """
-    lam = _check_weight(lam)
-    scores = np.asarray(scores, dtype=np.float64)
-    n = len(onehot)
-    if scores.shape != (n, 3) or onehot.shape != (n, 3) or onehot.dtype != bool:
-        got = f"got {scores.shape} and {onehot.shape} {onehot.dtype}"
-        raise ValueError(f"expected scores and one-hot of shape ({n}, 3), the one-hot bool, {got}")
     if not np.logical_and.reduce(np.isfinite(scores), axis=None):
         raise ValueError("scores must be finite")
 
@@ -162,8 +156,6 @@ def batch_combined_loss_grad(scores: np.ndarray, onehot: np.ndarray, lam: float)
     p0 = p[:, 0]
     # The hard terms: -log p[y] clamped, and p - onehot (bool casts to 1.0 and 0.0).
     hard = p[onehot]
-    if len(hard) != n:
-        raise ValueError(f"the one-hot must mark {n} classes, got {len(hard)}")
     np.minimum(np.maximum(hard, PROB_FLOOR, out=hard), 1.0 - PROB_FLOOR, out=hard)
     np.negative(np.log(hard, out=hard), out=hard)
     grads = p - onehot

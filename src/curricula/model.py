@@ -14,7 +14,7 @@ import numpy as np
 
 from ._checks import real, whole, wholes
 from .data import CLASSES, Dataset, _class_onehot
-from .losses import batch_combined_loss_grad, softmax
+from .losses import _check_weight, batch_combined_loss_grad, softmax
 from .metrics import mean_recall
 
 
@@ -146,7 +146,7 @@ def train_epoch(
     config: TrainConfig,
     rng: np.random.Generator,
 ) -> float:
-    """One shuffled pass of minibatch SGD at curriculum weight ``lam``.
+    """One shuffled pass of minibatch SGD at curriculum weight ``lam``, checked before the shuffle.
 
     Updates ``params`` in place and returns the mean per-sample blended
     loss over the epoch. Each step fills the epoch's one gradient buffer, laid out
@@ -155,6 +155,7 @@ def train_epoch(
     if train_set.feature_dim != params.layer_sizes[0]:
         raise ValueError(f"expected an (n, {params.layer_sizes[0]}) feature matrix, got shape {train_set.features.shape}")
     n = len(train_set)
+    lam = _check_weight(lam)
     order = rng.permutation(n)
     # One label check and one one-hot per epoch, sliced per batch; the features
     # are gathered a batch at a time, so no shuffled copy of the train set lives.

@@ -5,12 +5,15 @@
 The tree is the checkout's tracked files as they stand, staged or not
 (``git stash create``; ``HEAD`` when nothing has changed). For each mutant
 it is exported with ``git archive`` into a temporary directory, the
-mutant's ``old`` text is replaced, and tier-1 runs there with ``-x``, the
-cheapest test files first. The unmutated tree runs first as the control.
-One JSON line per run goes to stdout: the mutant, its expected and actual
-outcome, the test that killed it and the seconds taken. The exit status is
-1 if the control fails, a mutant's outcome differs from its ``expect``, or
-its ``old`` text does not occur exactly once. Stdlib only.
+mutant's ``old`` text is replaced, and pytest runs there with ``-x``. A
+killed row runs its ``killed_by`` file first; if the mutant survives that
+file, or the row names none, all of tier-1 runs, the cheapest test files
+first. Equivalent rows and the control, the unmutated tree that runs first,
+always run all of tier-1. One JSON line per run goes to stdout: the mutant,
+its expected and actual outcome, the test that killed it, the test files
+run (``"tier-1"`` for all of them) and the seconds taken. The exit status is
+1 if the control fails, a mutant's outcome differs from its ``expect``, its
+``old`` text does not occur exactly once or its ``killed_by`` file is missing. Stdlib only.
 """
 
 from __future__ import annotations
@@ -71,18 +74,24 @@ def run(archive: bytes, mutant=None) -> dict:
             if count != 1:
                 return record | {"outcome": "missing" if count == 0 else f"found {count} times"}
             path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
-        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                   "--continue-on-collection-errors", *ordered_test_files(tree)]
+        first = mutant.killed_by if mutant is not None and mutant.expect == "killed" else None
+        if first and not (tree / first).is_file():  # pytest's usage error would read as a kill
+            return record | {"outcome": f"killed_by file {first} does not exist"}
         env = os.environ | {"PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
         start = time.perf_counter()
-        try:
-            done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            return record | {"outcome": "killed", "killed_by": f"timeout after {TIMEOUT_S} s", "seconds": TIMEOUT_S}
+        for files in ([first] if first else []) + ["tier-1"]:
+            command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                       "--continue-on-collection-errors", *(ordered_test_files(tree) if files == "tier-1" else [files])]
+            try:
+                done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                return record | {"outcome": "killed", "killed_by": f"timeout after {TIMEOUT_S} s", "ran": files, "seconds": TIMEOUT_S}
+            if done.returncode != 0:
+                break
         seconds = round(time.perf_counter() - start, 2)
     failed = re.search(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", done.stdout, re.MULTILINE)  # a node id may hold spaces
     outcome = "survived" if done.returncode == 0 else "killed"
-    return record | {"outcome": outcome, "killed_by": failed and failed.group(1), "seconds": seconds}
+    return record | {"outcome": outcome, "killed_by": failed and failed.group(1), "ran": files, "seconds": seconds}
 
 
 def main() -> int:

@@ -272,12 +272,6 @@ class TestParseConfig:
         assert str(config.csv_path) == "features.csv"
         assert config.synth is None
 
-    def test_readme_config_schema_parses(self, tmp_path):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        block = readme.split("## Config schema", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
-        config = parse_config(write_config(tmp_path, block))
-        assert [arm.name for arm in config.arms] == ["constant_zero", "linear-early"]
-
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):
             parse_config(tmp_path / "nope.yaml")
@@ -315,8 +309,14 @@ class TestParseConfig:
         [
             (
                 "out_dir: 3\ndata:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: step}\n",
-                "out_dir must be a path string, got 3",
+                "out_dir must be a non-empty path string, got 3",
             ),
+            # Path("") is the current directory: the outputs would land there, the CSV read fails late
+            (
+                "out_dir: ''\ndata:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: step}\n",
+                "out_dir must be a non-empty path string, got ''",
+            ),
+            ("data:\n  csv: ''\narms:\n  - {kind: step}\n", "data.csv must be a non-empty path string, got ''"),
             ("data: {}\narms:\n  - {kind: step}\n", "data needs exactly one source: data.synthetic or data.csv"),
             ("arms:\n  - {kind: step}\n", "data needs exactly one source: data.synthetic or data.csv"),
             ("data:\n  csv: null\narms:\n  - {kind: step}\n", "data needs exactly one source: data.synthetic or data.csv"),
@@ -340,6 +340,24 @@ class TestParseConfig:
             ("data:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {L: 3}\n", "arms[0]: missing required key 'kind'"),
             (
                 "data:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: exponential, epsilon: 0}\n",
+                "arms[0].epsilon must lie in (0, 1), got 0.0",
+            ),
+            # only the exponential kind reads epsilon, and a bad kind or value is named first
+            (
+                "data:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: linear, epsilon: 0.5}\n",
+                "arms[0].epsilon applies only to the exponential kind, got kind 'linear'",
+            ),
+            (
+                "data:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: constant_zero, epsilon: 1.0e-3}\n",
+                "arms[0].epsilon applies only to the exponential kind, got kind 'constant_zero'",
+            ),
+            (
+                "data:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: lin, epsilon: 0.5}\n",
+                "arms[0].kind must be one of cosine, linear, concave_quadratic, convex_quadratic, "
+                "exponential, logarithm, step, constant_zero, got 'lin'",
+            ),
+            (
+                "data:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: step, epsilon: 0}\n",
                 "arms[0].epsilon must lie in (0, 1), got 0.0",
             ),
             (
@@ -460,8 +478,10 @@ def experiment_config(**kwargs):
         (experiment_config, dict(k=2.5), "k must be an integer, got 2.5"),
         (experiment_config, dict(seed=1.5), "seed must be an integer, got 1.5"),
         (experiment_config, dict(val_fraction="0.2"), "val_fraction must be a number, got '0.2'"),
-        (experiment_config, dict(out_dir=3), "out_dir must be a path string, got 3"),
-        (experiment_config, dict(synth=None, csv_path=True), "csv_path must be a path string, got True"),
+        (experiment_config, dict(out_dir=3), "out_dir must be a non-empty path string, got 3"),
+        (experiment_config, dict(out_dir=""), "out_dir must be a non-empty path string, got ''"),
+        (experiment_config, dict(synth=None, csv_path=True), "csv_path must be a non-empty path string, got True"),
+        (experiment_config, dict(synth=None, csv_path=""), "csv_path must be a non-empty path string, got ''"),
         (Arm, dict(name="", spec=SPEC), "name must be a non-empty string, got ''"),
         (Arm, dict(name=3, spec=SPEC), "name must be a non-empty string, got 3"),
     ],
@@ -529,12 +549,12 @@ def bad_ints(length=None):
 
 
 BAD_VALUES = {
-    ("out_dir",): st.one_of(st.booleans(), NUMBER),
+    ("out_dir",): st.one_of(st.booleans(), NUMBER, st.just("")),
     ("k",): bad_int(2),
     ("val_fraction",): st.one_of(NOT_A_NUMBER, OUTSIDE_OPEN_UNIT),
     ("seed",): bad_int(0),
     ("data", "synthetic"): st.one_of(st.booleans(), TEXT, NUMBER, st.lists(st.integers(), max_size=2)),
-    ("data", "csv"): st.one_of(st.booleans(), NUMBER),
+    ("data", "csv"): st.one_of(st.booleans(), NUMBER, st.just("")),
     ("data", "synthetic", "counts"): bad_ints(3),
     ("data", "synthetic", "seed"): bad_int(0),
     ("data", "synthetic", "feature_dim"): bad_int(2),
@@ -882,6 +902,17 @@ class TestCli:
         assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "from_flag")]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "from_flag"]
         assert sorted(p.name for p in (tmp_path / "from_flag").iterdir()) == ["means.csv", "per_fold.csv", "report.txt"]
+
+    @pytest.mark.parametrize("command", ["run", "gen-data", "folds"])
+    def test_an_empty_out_flag_is_refused_and_no_experiment_runs(self, small_config, tmp_path, monkeypatch, capsys, command):
+        # Path("") is the current directory, so an empty --out would write the results there
+        monkeypatch.chdir(tmp_path)
+        runs = []
+        monkeypatch.setattr(cli, "run_experiment", lambda config: runs.append(config))
+        assert cli.main([command, "--config", str(small_config), "--out", ""]) == 1
+        assert capsys.readouterr().err == "error: --out must be a non-empty path string, got ''\n"
+        assert runs == []
+        assert list(tmp_path.iterdir()) == [small_config]
 
     def test_without_flag_the_config_sets_output_dir_whatever_curricula_out_says(self, tmp_path, monkeypatch):
         # earlier versions read CURRICULA_OUT; it must not move the outputs

@@ -233,20 +233,10 @@ def test_batch_matches_scalar_ops():
 
 
 def test_batch_input_validation():
+    # The kernel's one check is the divergence detector: its other inputs are
+    # checked where they enter (the weight by train_epoch, the labels by _class_onehot).
     onehot = _class_onehot(np.array([0, 1]))
-    for lam in (-0.1, 1.1):
-        with pytest.raises(ValueError, match=rf"^curriculum weight must lie in \[0, 1\], got {lam}$"):
-            batch_combined_loss_grad(np.zeros((2, 3)), onehot, lam)
-    with pytest.raises(ValueError, match="^curriculum weight must be finite, got nan$"):
-        batch_combined_loss_grad(np.zeros((2, 3)), onehot, float("nan"))
-    # The labels themselves are not a one-hot: _class_onehot checks and builds it.
-    with pytest.raises(ValueError, match=r"^expected scores and one-hot of shape \(2, 3\)"):
-        batch_combined_loss_grad(np.zeros((2, 3)), np.array([0, 1]), 0.5)
-    with pytest.raises(ValueError, match=r"^expected scores and one-hot of shape \(2, 3\)"):
-        batch_combined_loss_grad(np.zeros((2, 2)), onehot, 0.5)
-    with pytest.raises(ValueError, match=r"^expected scores and one-hot of shape \(2, 3\)"):
-        batch_combined_loss_grad(np.zeros((3, 3)), onehot, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^scores must be finite$"):
         batch_combined_loss_grad(np.full((2, 3), np.nan), onehot, 0.5)
     # One non-finite score anywhere fails. A row like [-inf, 0.3, 1.2] has a
     # finite softmax, so only a check on the scores themselves catches it.
@@ -259,25 +249,6 @@ def test_batch_input_validation():
                     batch_combined_loss_grad(scores, _class_onehot(np.array([0, 1, 2])), 0.5)
     losses, grads = batch_combined_loss_grad(np.zeros((3, 3)), _class_onehot(np.array([True, False, True])), 0.5)
     assert losses.shape == (3,) and grads.shape == (3, 3)
-
-
-@pytest.mark.parametrize("lam", [0.0, 0.5])
-@pytest.mark.parametrize("dtype", [np.int64, np.float64])
-def test_batch_rejects_a_one_hot_that_is_not_bool(dtype, lam):
-    # An int one-hot would gather whole rows as indices, and a float one
-    # cannot index at all.
-    onehot = np.eye(3, dtype=dtype)[[0, 1, 2, 1]]
-    message = rf"^expected scores and one-hot of shape \(4, 3\), the one-hot bool, got \(4, 3\) and \(4, 3\) {dtype.__name__}$"
-    with pytest.raises(ValueError, match=message):
-        batch_combined_loss_grad(np.zeros((4, 3)), onehot, lam)
-
-
-@pytest.mark.parametrize("lam", [0.0, 0.5])
-def test_batch_rejects_a_one_hot_row_that_marks_no_class(lam):
-    onehot = np.eye(3, dtype=bool)[[0, 1, 2, 1]]
-    onehot[2] = False
-    with pytest.raises(ValueError, match=r"^the one-hot must mark 4 classes, got 3$"):
-        batch_combined_loss_grad(np.zeros((4, 3)), onehot, lam)
 
 
 @pytest.mark.parametrize("shape", [(), (1,), (2,), (4,), (5, 1), (5, 2), (5, 4), (2, 2, 3)])

@@ -570,6 +570,38 @@ def test_training_checks_the_feature_width():
     assert str(excinfo.value) == f"epoch 0: {message}"
 
 
+@pytest.mark.parametrize(
+    "lam, message",
+    [
+        (-0.1, "curriculum weight must lie in [0, 1], got -0.1"),
+        (1.1, "curriculum weight must lie in [0, 1], got 1.1"),
+        (float("nan"), "curriculum weight must be finite, got nan"),
+        ("0.5", "curriculum weight must be a number, got '0.5'"),
+        (True, "curriculum weight must be a number, got True"),
+        (np.float32(0.5), f"curriculum weight must be a number, got {np.float32(0.5)!r}"),
+    ],
+)
+def test_an_epoch_checks_its_weight_before_it_draws_or_steps(lam, message):
+    # The kernel takes the weight unchecked, so the epoch checks it once, before
+    # the shuffle consumes the generator or any step moves the parameters.
+    dataset = tiny_dataset(np.random.default_rng(7), n=30)
+    params, rng = init([3, 4, 3], seed=1), np.random.default_rng(2)
+    flat, state = params.flat.copy(), rng.bit_generator.state
+    with pytest.raises(ValueError) as excinfo:
+        train_epoch(params, dataset, lam, TrainConfig(batch_size=8, hidden_sizes=(4,)), rng)
+    assert str(excinfo.value) == message
+    assert rng.bit_generator.state == state
+    np.testing.assert_array_equal(params.flat, flat)
+
+
+def test_train_names_the_epoch_of_a_bad_weight():
+    dataset = tiny_dataset(np.random.default_rng(7), n=30)
+    config = TrainConfig(epochs=3, batch_size=8, hidden_sizes=(4,))
+    with pytest.raises(ValueError) as excinfo:
+        train(init([3, 4, 3], seed=1), dataset, dataset, [0.5, 0.5, 1.5], config, np.random.default_rng(2))
+    assert str(excinfo.value) == "epoch 2: curriculum weight must lie in [0, 1], got 1.5"
+
+
 def test_train_rejects_mismatched_lambdas():
     rng = np.random.default_rng(7)
     dataset = tiny_dataset(rng, n=12)

@@ -1,4 +1,5 @@
-"""README's module table lists the public surface and nothing else.
+"""README's module table lists the public surface and nothing else, and its
+config example is a config that ``parse_config`` accepts.
 
 Every backticked name in the table's contents column must be exported in
 ``curricula.__all__`` or named in ``NOT_IN_ALL`` below with the reason it
@@ -10,6 +11,7 @@ import re
 from pathlib import Path
 
 import curricula
+from curricula.harness import parse_config
 from curricula.scheduler import KINDS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -40,3 +42,13 @@ def test_module_table_names_only_the_public_surface():
     stray = [name for name in names if name not in curricula.__all__ and name not in NOT_IN_ALL]
     assert not stray, f"README's module table names {stray}, which are not in curricula.__all__"
 
+
+def test_config_example_parses(tmp_path):
+    # the example is the schema's documentation, so every key it shows must be accepted
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Config schema", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "config.yaml"
+    path.write_text(block, encoding="utf-8")
+    config = parse_config(path)
+    assert [arm.name for arm in config.arms] == ["constant_zero", "linear-early", "exponential"]
+    assert config.arms[2].spec.exp_floor == 1e-3

@@ -11,8 +11,8 @@ import numpy as np
 
 from curricula.data import SynthConfig, class_means, generate_synthetic, stratified_kfold
 
-config = SynthConfig(counts=(349, 653, 707), feature_dim=2, overlap=0.25, seed=11)
-dataset = generate_synthetic(config)
+config = SynthConfig(counts=(349, 653, 707), feature_dim=2, overlap=0.25)
+dataset = generate_synthetic(config, seed=11)
 print(f"dataset: {len(dataset)} samples, class counts {dataset.class_counts()}")
 
 means = class_means(config)

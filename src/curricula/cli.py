@@ -7,7 +7,7 @@ import sys
 
 from ._checks import file_path
 from .data import generate_synthetic, stratified_kfold, write_csv, write_partitions_csv
-from .harness import build_dataset, parse_config, render_report, resolved_seeds, resolved_synth, run_experiment
+from .harness import build_dataset, parse_config, render_report, resolved_seeds, run_experiment
 
 
 def _cmd_run(args) -> int:
@@ -21,7 +21,7 @@ def _cmd_gen_data(args) -> int:
     config = parse_config(args.config)
     if config.synth is None:
         raise ValueError("gen-data needs a config with a 'data.synthetic' section")
-    write_csv(generate_synthetic(resolved_synth(config)), file_path(args.out, "--out"))
+    write_csv(generate_synthetic(config.synth, resolved_seeds(config)["data"]), file_path(args.out, "--out"))
     return 0
 
 

@@ -164,7 +164,6 @@ class SynthConfig:
     separation: float = 3.0
     overlap: float = 0.25
     noise: float = 1.0
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "counts", wholes(self.counts, "counts", three=True))
@@ -177,8 +176,6 @@ class SynthConfig:
             raise ValueError(f"overlap must lie in [0, 1], got {self.overlap}")
         if not (self.noise > 0):
             raise ValueError(f"noise must be positive, got {self.noise}")
-        if self.seed is not None:
-            whole(self.seed, "seed", 0)
 
 
 def class_means(config: SynthConfig) -> np.ndarray:
@@ -192,11 +189,10 @@ def class_means(config: SynthConfig) -> np.ndarray:
     return means
 
 
-def generate_synthetic(config: SynthConfig) -> Dataset:
-    """Draw the three-blob dataset; deterministic given ``config.seed``."""
-    if config.seed is None:
-        raise ValueError("SynthConfig.seed must be set before generating data")
-    rng = np.random.default_rng(config.seed)
+def generate_synthetic(config: SynthConfig, seed: int) -> Dataset:
+    """Draw the three-blob dataset; deterministic given ``config`` and the int ``seed >= 0``."""
+    whole(seed, "seed", 0)
+    rng = np.random.default_rng(seed)
     # Each class block is drawn and shifted in place: the bits of means[c] + noise * z.
     features = np.empty((sum(config.counts), config.feature_dim))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails as non-finite features under any filter

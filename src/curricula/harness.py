@@ -150,8 +150,6 @@ def _arm(value, where: str, epochs: int) -> Arm:
     name = fields.pop("name", fields["kind"])
     fields.setdefault("switch_epoch", default_switch_epoch(epochs))
     spec = _build(SchedulerSpec, fields, where, _ARM_KEYS)
-    if "exp_floor" in fields and spec.kind != "exponential":  # no other kind reads it
-        raise ConfigError(f"{where}.epsilon applies only to the exponential kind, got kind {spec.kind!r}")
     return _build(Arm, {"name": name, "spec": spec}, where, _ARM_KEYS)
 
 
@@ -199,27 +197,19 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 def resolved_seeds(config: ExperimentConfig) -> dict:
     """Every seed a run uses, and the one place that derives them from the
-    master seed: ``master``; ``data``, the configured ``data.synthetic.seed``
-    or a derived one (``None`` for a CSV source); ``folds``; and ``init`` and
-    ``shuffle``, lists indexed by fold."""
-    master, synth = config.seed, config.synth
-    data = None if synth is None else synth.seed
-    if synth is not None and data is None:
-        data = child_seed(master, "data")
+    master seed: ``master``; ``data``, the synthetic data's (``None`` for a
+    CSV source); ``folds``; and ``init`` and ``shuffle``, lists indexed by fold."""
+    master = config.seed
+    data = None if config.synth is None else child_seed(master, "data")
     seeds = {"master": master, "data": data, "folds": child_seed(master, "folds")}
     return seeds | {tag: [child_seed(master, tag, i) for i in range(config.k)] for tag in ("init", "shuffle")}
-
-
-def resolved_synth(config: ExperimentConfig) -> SynthConfig:
-    """The config's synthetic-data parameters with the seed filled in."""
-    return dataclasses.replace(config.synth, seed=resolved_seeds(config)["data"])
 
 
 def build_dataset(config: ExperimentConfig) -> Dataset:
     """Materialise the config's data source."""
     if config.csv_path is not None:
         return load_csv(config.csv_path)
-    return generate_synthetic(resolved_synth(config))
+    return generate_synthetic(config.synth, resolved_seeds(config)["data"])
 
 
 @dataclasses.dataclass(frozen=True)

@@ -54,22 +54,27 @@ DEFAULT_EXP_FLOOR = 1e-3
 class SchedulerSpec:
     """A scheduler kind plus its hyperparameters.
 
-    ``switch_epoch`` is the first epoch with weight 0; ``exp_floor`` is the
-    terminal value the exponential kind decays toward. The epoch count is
-    not part of a spec (see ``schedule``).
+    ``switch_epoch`` is the first epoch with weight 0; ``exp_floor``, which only
+    the exponential kind takes, is the terminal value it decays toward (1e-3
+    if unset). The epoch count is not part of a spec (see ``schedule``).
     """
 
     kind: str
     switch_epoch: int
-    exp_floor: float = DEFAULT_EXP_FLOOR
+    exp_floor: float | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {', '.join(KINDS)}, got {self.kind!r}")
         whole(self.switch_epoch, "switch_epoch", 1)
+        if self.exp_floor is None:
+            object.__setattr__(self, "exp_floor", DEFAULT_EXP_FLOOR if self.kind == "exponential" else None)
+            return
         object.__setattr__(self, "exp_floor", real(self.exp_floor, "exp_floor"))
         if not (0.0 < self.exp_floor < 1.0):
             raise ValueError(f"exp_floor must lie in (0, 1), got {self.exp_floor}")
+        if self.kind != "exponential":  # no other kind reads it
+            raise ValueError(f"exp_floor applies only to the exponential kind, got kind {self.kind!r}")
 
 
 def default_switch_epoch(epochs: int) -> int:

@@ -181,7 +181,7 @@ def test_criterion_4_auc_oracle():
 
 def test_criterion_5_partition_contract():
     with criterion(5, "stratified 5-fold partitions are disjoint, covering, proportional ±1"):
-        ds = generate_synthetic(SynthConfig(counts=TABLE_COUNTS, seed=11))
+        ds = generate_synthetic(SynthConfig(counts=TABLE_COUNTS), 11)
         partitions = stratified_kfold(ds, k=5, val_fraction=0.2, seed=3)
         all_ids = set(ds.ids.tolist())
         tested: list[int] = []
@@ -386,8 +386,8 @@ def test_criterion_7_desk_scale_experiment(tmp_path):
                 separation=3.0,
                 overlap=0.25,
                 noise=1.0,
-                seed=child_seed(config.seed, "data"),
-            )
+            ),
+            child_seed(config.seed, "data"),
         )
         partitions = stratified_kfold(
             dataset, config.k, config.val_fraction, child_seed(config.seed, "folds")
@@ -427,7 +427,7 @@ def test_every_golden_arm_equals_a_blended_reference_run(golden):
 def test_criterion_8_smoke_learnability():
     with criterion(8, "separable three-blob data reaches 95% training accuracy in 50 epochs"):
         dataset = generate_synthetic(
-            SynthConfig(counts=(100, 100, 100), separation=6.0, overlap=1.0, noise=1.0, seed=80)
+            SynthConfig(counts=(100, 100, 100), separation=6.0, overlap=1.0, noise=1.0), 80
         )
         config = TrainConfig(learning_rate=0.05, epochs=50, batch_size=32, hidden_sizes=(16,))
         params = init([2, 16, 3], seed=81)

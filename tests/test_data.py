@@ -29,9 +29,8 @@ from curricula.losses import coarsen
 TABLE_COUNTS = (349, 653, 707)
 
 
-def synth(counts=(30, 30, 30), **kwargs):
-    kwargs.setdefault("seed", 11)
-    return generate_synthetic(SynthConfig(counts=counts, **kwargs))
+def synth(counts=(30, 30, 30), seed=11, **kwargs):
+    return generate_synthetic(SynthConfig(counts=counts, **kwargs), seed)
 
 
 class TestDataset:
@@ -215,12 +214,12 @@ class TestSynthetic:
         assert int((z == 1).sum()) == 50
 
     def test_zero_overlap_means_coincident_fine_means(self):
-        means = class_means(SynthConfig(counts=(5, 5, 5), overlap=0.0, seed=0))
+        means = class_means(SynthConfig(counts=(5, 5, 5), overlap=0.0))
         np.testing.assert_array_equal(means[1], means[2])
         assert np.linalg.norm(means[0] - means[1]) == pytest.approx(3.0)
 
     def test_class_zero_sits_on_orthogonal_axis(self):
-        cfg = SynthConfig(counts=(5, 5, 5), feature_dim=4, separation=2.0, overlap=0.5, seed=0)
+        cfg = SynthConfig(counts=(5, 5, 5), feature_dim=4, separation=2.0, overlap=0.5)
         means = class_means(cfg)
         axis_12 = means[2] - means[1]
         assert np.linalg.norm(axis_12) == pytest.approx(0.5 * 2.0)
@@ -249,15 +248,28 @@ class TestSynthetic:
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
-            SynthConfig(counts=(0, 5, 5), seed=0)
+            SynthConfig(counts=(0, 5, 5))
         with pytest.raises(ValueError):
-            SynthConfig(counts=(5, 5, 5), noise=0.0, seed=0)
+            SynthConfig(counts=(5, 5, 5), noise=0.0)
         with pytest.raises(ValueError):
-            SynthConfig(counts=(5, 5, 5), overlap=1.5, seed=0)
+            SynthConfig(counts=(5, 5, 5), overlap=1.5)
         with pytest.raises(ValueError):
-            SynthConfig(counts=(5, 5, 5), feature_dim=1, seed=0)
-        with pytest.raises(ValueError):
-            generate_synthetic(SynthConfig(counts=(5, 5, 5)))  # seed unset
+            SynthConfig(counts=(5, 5, 5), feature_dim=1)
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (-1, "seed must be at least 0, got -1"),
+            (True, "seed must be an integer, got True"),
+            (1.5, "seed must be an integer, got 1.5"),
+            (None, "seed must be an integer, got None"),
+        ],
+    )
+    def test_the_seed_is_an_argument_and_checked(self, seed, message):
+        config = SynthConfig(counts=(5, 5, 5))
+        with pytest.raises(ValueError) as excinfo:
+            generate_synthetic(config, seed)
+        assert str(excinfo.value) == message
 
     def test_an_overflowing_noise_fails_as_non_finite_features_under_any_warning_filter(self):
         # noise * z overflows to inf; the error must not turn into numpy's overflow warning under -W error
@@ -275,14 +287,14 @@ class TestSynthetic:
             (dict(counts=(5, True, 5)), "counts must be three positive integers, got (5, True, 5)"),
             (dict(feature_dim=2.5), "feature_dim must be an integer, got 2.5"),
             (dict(feature_dim=True), "feature_dim must be an integer, got True"),
-            (dict(seed=2.5), "seed must be an integer, got 2.5"),
+            (dict(counts=(5.0, 5, 5)), "counts must be three positive integers, got (5.0, 5, 5)"),
             (dict(noise=float("inf")), "noise must be finite, got inf"),
             (dict(counts=5), "counts must be three positive integers, got 5"),
         ],
     )
     def test_non_integer_sizes_rejected(self, kwargs, message):
         with pytest.raises(ValueError) as excinfo:
-            SynthConfig(**{"counts": (5, 5, 5), "seed": 0, **kwargs})
+            SynthConfig(**{"counts": (5, 5, 5), **kwargs})
         assert str(excinfo.value) == message
 
 

@@ -26,11 +26,10 @@ from curricula.harness import (
     parse_config,
     render_report,
     resolved_seeds,
-    resolved_synth,
     run_experiment,
 )
 from curricula.model import TrainConfig
-from curricula.scheduler import KINDS, SchedulerSpec, default_switch_epoch
+from curricula.scheduler import DEFAULT_EXP_FLOOR, KINDS, SchedulerSpec, default_switch_epoch
 
 SMALL_CONFIG = """\
 seed: 5
@@ -206,12 +205,6 @@ class TestParseConfig:
         )
         with pytest.raises(ConfigError, match="^seed must be at least 0, got -1"):
             parse_config(path)
-        path = write_config(
-            tmp_path,
-            "data:\n  synthetic:\n    counts: [10, 10, 10]\n    seed: -1\narms:\n  - {kind: step}\n",
-        )
-        with pytest.raises(ConfigError, match=r"^data\.synthetic\.seed must be at least 0, got -1"):
-            parse_config(path)
 
     def test_fold_count_below_two_names_key(self, tmp_path):
         path = write_config(
@@ -285,7 +278,7 @@ class TestParseConfig:
             (ExperimentConfig, config, {"synth"}),  # the file sets it
             (TrainConfig, config.train, set()),
             (SynthConfig, config.synth, set()),
-            (SchedulerSpec, config.arms[0].spec, set()),
+            (SchedulerSpec, config.arms[0].spec, {"exp_floor"}),  # filled in for the exponential kind
         ):
             defaulted = [f for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING]
             assert defaulted, cls
@@ -294,15 +287,19 @@ class TestParseConfig:
                     assert getattr(parsed, f.name) == f.default, f"{cls.__name__}.{f.name}"
         # the computed defaults
         assert config.arms[0].spec.switch_epoch == default_switch_epoch(config.train.epochs)
+        assert config.arms[0].spec.exp_floor == DEFAULT_EXP_FLOOR
         assert config.arms[0].name == "exponential"
 
-    def test_null_synthetic_seed_is_derived(self, tmp_path):
-        base = "seed: 3\ndata:\n  synthetic:\n    counts: [10, 10, 10]\n{}arms:\n  - {{kind: step}}\n"
-        config = parse_config(write_config(tmp_path, base.format("    seed: null\n"), "null.yaml"))
-        assert config.synth.seed is None
-        assert resolved_synth(config).seed == child_seed(3, "data")
-        omitted = parse_config(write_config(tmp_path, base.format(""), "omitted.yaml"))
-        assert resolved_synth(config) == resolved_synth(omitted)
+    @pytest.mark.parametrize("value", ["7", "0", "-1", "null"])
+    def test_a_synthetic_seed_key_is_refused(self, tmp_path, value):
+        # the data seed derives from the master seed; gen-data, then data.csv, holds the data fixed
+        text = f"seed: 3\ndata:\n  synthetic:\n    counts: [10, 10, 10]\n    seed: {value}\narms:\n  - {{kind: step}}\n"
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(write_config(tmp_path, text))
+        assert str(excinfo.value) == (
+            "data.synthetic: unknown keys ['seed']; "
+            "allowed keys are ['counts', 'feature_dim', 'noise', 'overlap', 'separation']"
+        )
 
     @pytest.mark.parametrize(
         "text, message",
@@ -336,7 +333,7 @@ class TestParseConfig:
                 "data:\n  synthetic:\n    counts: [10, 10, 10]\narms: {kind: step}\n",
                 "arms must be a non-empty list of Arm, got {'kind': 'step'}",
             ),
-            ("data:\n  synthetic:\n    seed: 3\narms:\n  - {kind: step}\n", "data.synthetic: missing required key 'counts'"),
+            ("data:\n  synthetic:\n    noise: 3\narms:\n  - {kind: step}\n", "data.synthetic: missing required key 'counts'"),
             ("data:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {L: 3}\n", "arms[0]: missing required key 'kind'"),
             (
                 "data:\n  synthetic:\n    counts: [10, 10, 10]\narms:\n  - {kind: exponential, epsilon: 0}\n",
@@ -556,7 +553,6 @@ BAD_VALUES = {
     ("data", "synthetic"): st.one_of(st.booleans(), TEXT, NUMBER, st.lists(st.integers(), max_size=2)),
     ("data", "csv"): st.one_of(st.booleans(), NUMBER, st.just("")),
     ("data", "synthetic", "counts"): bad_ints(3),
-    ("data", "synthetic", "seed"): bad_int(0),
     ("data", "synthetic", "feature_dim"): bad_int(2),
     ("data", "synthetic", "separation"): st.one_of(NOT_A_NUMBER, NON_POSITIVE),
     ("data", "synthetic", "overlap"): st.one_of(NOT_A_NUMBER, OUTSIDE_CLOSED_UNIT),
@@ -632,6 +628,13 @@ class TestResolvedSeeds:
         assert seeds["master"] == 5 and seeds["data"] == child_seed(5, "data")
         assert len(seeds["init"]) == len(seeds["shuffle"]) == 3
 
+    @pytest.mark.parametrize("master", [0, 5, 2**63 - 1])
+    def test_the_data_seed_derives_from_the_master_seed_only(self, small_config, master):
+        config = dataclasses.replace(parse_config(small_config), seed=master)
+        assert resolved_seeds(config)["data"] == child_seed(master, "data")
+        expected = generate_synthetic(config.synth, child_seed(master, "data"))
+        assert build_dataset(config).features.tobytes() == expected.features.tobytes()
+
     def test_one_seed_source_feeds_every_command(self, small_config, tmp_path):
         config = parse_config(small_config)
         out = tmp_path / "folds.csv"
@@ -655,8 +658,8 @@ class TestResolvedSeeds:
             assert before[key] != after[key], key
         for key in ("init", "shuffle"):
             assert all(a != b for a, b in zip(before[key], after[key], strict=True)), key
-        configured = dataclasses.replace(config, synth=dataclasses.replace(config.synth, seed=7))
-        assert resolved_seeds(dataclasses.replace(configured, seed=6))["data"] == 7
+        with pytest.raises(TypeError):  # the synthetic section holds no seed to keep the data fixed
+            dataclasses.replace(config.synth, seed=7)
         from_csv = dataclasses.replace(config, synth=None, csv_path=tmp_path / "x.csv")
         assert resolved_seeds(from_csv)["data"] is None
         assert resolved_seeds(dataclasses.replace(from_csv, seed=6))["data"] is None
@@ -735,7 +738,7 @@ class TestRunExperiment:
         from curricula.data import SynthConfig, generate_synthetic, write_csv
 
         csv_path = tmp_path / "blobs.csv"
-        write_csv(generate_synthetic(SynthConfig(counts=(12, 12, 12), seed=21)), csv_path)
+        write_csv(generate_synthetic(SynthConfig(counts=(12, 12, 12)), 21), csv_path)
         path = write_config(
             tmp_path,
             f"k: 3\ndata:\n  csv: {csv_path}\n"
@@ -782,7 +785,7 @@ class TestRunExperiment:
 
     def test_one_fold_holds_no_test_subset_or_epoch_gather_while_training(self):
         # cli-100k's shapes at a fifth of its rows: 20k x 8, hidden [16], batch 256, 2 epochs.
-        dataset = generate_synthetic(SynthConfig(counts=(4000, 8000, 8000), feature_dim=8, seed=1))
+        dataset = generate_synthetic(SynthConfig(counts=(4000, 8000, 8000), feature_dim=8), 1)
         partition = stratified_kfold(dataset, 5, 0.2, 0)[0]
         train_config = TrainConfig(epochs=2, batch_size=256, hidden_sizes=(16,))
         tracemalloc.start()
@@ -888,6 +891,14 @@ class TestCli:
         per_fold = {out: (tmp_path / out / "per_fold.csv").read_bytes() for out in "abc"}
         assert per_fold["a"] != per_fold["b"]
         assert per_fold["a"] == per_fold["c"]
+
+    def test_a_synthetic_seed_key_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        text = SMALL_CONFIG.replace("    overlap: 0.4\n", "    overlap: 0.4\n    seed: 7\n")
+        config = write_config(tmp_path, text, "keyed.yaml")
+        out = tmp_path / "results"
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: data.synthetic: unknown keys ['seed']; allowed keys are ")
+        assert not out.exists()
 
     def test_negative_config_seed_names_key(self, tmp_path, capsys):
         config = write_config(tmp_path, SMALL_CONFIG.replace("seed: 5\n", "seed: -3\n"), "negative.yaml")

@@ -59,7 +59,7 @@ LIST_CALLS = {
     "MetricsReport": "takes five floats",
     "ModelParams": lambda to: ModelParams(to([1, 3]), to([0.5, -1.0, 2.0, 0.0, 0.25, -0.5])),
     "SchedulerSpec": "takes a kind name and two scalars",
-    "SynthConfig": (lambda to: SynthConfig(to([3, 4, 5]), seed=1), tuple),
+    "SynthConfig": (lambda to: SynthConfig(to([3, 4, 5])), tuple),
     "TrainConfig": (lambda to: TrainConfig(hidden_sizes=to([4, 2])), tuple),
     "TrainResult": "a record that train fills; it checks nothing",
     "accuracy": lambda to: accuracy(to(PROBS), to(LABELS)),
@@ -74,7 +74,7 @@ LIST_CALLS = {
     "default_switch_epoch": "takes one epoch count",
     "easy_loss": lambda to: easy_loss(to(PROBS[1]), 1),
     "evaluate": lambda to: evaluate(to(PROBS), to(LABELS)),
-    "generate_synthetic": "takes a SynthConfig, whose list input is SynthConfig's entry",
+    "generate_synthetic": "takes a SynthConfig, whose list input is SynthConfig's entry, and a seed",
     "hard_loss": lambda to: hard_loss(to(PROBS[2]), 2),
     "init": lambda to: init(to([2, 4, 3]), 0),
     "lambda_at": "takes a SchedulerSpec and an epoch",

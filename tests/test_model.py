@@ -467,7 +467,7 @@ def test_training_is_deterministic():
 def test_separable_blobs_are_learned():
     config = TrainConfig(learning_rate=0.05, epochs=50, batch_size=32, hidden_sizes=(16,))
     dataset = generate_synthetic(
-        SynthConfig(counts=(100, 100, 100), separation=6.0, overlap=1.0, noise=1.0, seed=12)
+        SynthConfig(counts=(100, 100, 100), separation=6.0, overlap=1.0, noise=1.0), 12
     )
     params = init([2, 16, 3], seed=13)
     result = train(params, dataset, dataset, [0.0] * 50, config, np.random.default_rng(14))

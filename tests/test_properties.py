@@ -46,7 +46,7 @@ from curricula.losses import (
     combined_loss_grad,
     softmax,
 )
-from curricula.harness import Arm, ExperimentConfig, resolved_synth, run_experiment
+from curricula.harness import Arm, ExperimentConfig, resolved_seeds, run_experiment
 from curricula.metrics import mean_recall
 from curricula.model import ModelParams, TrainConfig, init, train_epoch
 from curricula.scheduler import SchedulerSpec
@@ -572,7 +572,7 @@ TINY_RUN = ExperimentConfig(
 @settings(deadline=None, max_examples=30)
 @given(st.permutations(range(30)))
 def test_a_run_on_a_csv_does_not_depend_on_its_row_order(order):
-    dataset = generate_synthetic(resolved_synth(TINY_RUN))
+    dataset = generate_synthetic(TINY_RUN.synth, resolved_seeds(TINY_RUN)["data"])
     shuffled = Dataset(*(a[list(order)] for a in (dataset.features, dataset.labels, dataset.ids)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"

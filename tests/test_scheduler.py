@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 from curricula.scheduler import (
     CURRICULUM_KINDS,
+    DEFAULT_EXP_FLOOR,
     KINDS,
     SchedulerSpec,
     default_switch_epoch,
@@ -27,7 +29,7 @@ REFERENCE_FORMS = {
 
 
 def spec(kind, L=10, eps=1e-3):
-    return SchedulerSpec(kind=kind, switch_epoch=L, exp_floor=eps)
+    return SchedulerSpec(kind=kind, switch_epoch=L, exp_floor=eps if kind == "exponential" else None)
 
 
 @pytest.mark.parametrize("kind", CURRICULUM_KINDS)
@@ -153,6 +155,23 @@ def test_epoch_out_of_range_rejected():
 def test_invalid_specs_rejected(kwargs):
     with pytest.raises(ValueError):
         SchedulerSpec(**kwargs)
+
+
+@pytest.mark.parametrize("kind", [kind for kind in KINDS if kind != "exponential"])
+def test_only_the_exponential_kind_takes_a_floor(kind):
+    with pytest.raises(ValueError) as excinfo:
+        SchedulerSpec(kind, 4, exp_floor=0.5)
+    assert str(excinfo.value) == f"exp_floor applies only to the exponential kind, got kind {kind!r}"
+
+
+def test_the_floor_defaults_for_the_exponential_kind_only():
+    assert SchedulerSpec("exponential", 4).exp_floor == DEFAULT_EXP_FLOOR == 1e-3
+    assert SchedulerSpec("exponential", 4, exp_floor=None).exp_floor == 1e-3
+    for kind in KINDS:
+        if kind != "exponential":
+            assert SchedulerSpec(kind, 4).exp_floor is None, kind
+    # so a spec of another kind can be replaced field by field
+    assert dataclasses.replace(SchedulerSpec("linear", 4), switch_epoch=2) == SchedulerSpec("linear", 2)
 
 
 def test_every_kind_matches_its_golden_weights_bit_for_bit():
